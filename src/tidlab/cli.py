@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .graded import (
     TernaryWeights,
     convention_search,
     cyclic_residual,
-    graded_relative_residual,
     identity18_residual,
     random_graded_pair,
 )
@@ -34,7 +34,7 @@ from .matrixops import (
     identity6_residual,
     jacobi_cyclic_residual,
     phi4,
-    relative_residual,
+    worst_residual,
 )
 from .tensors import TensorShape, random_tensor
 from .words import (
@@ -123,7 +123,7 @@ class CheckReport:
     def to_json(self) -> dict:
         obj: dict = {"name": self.name, "params": self.params}
         if self.residual is not None:
-            obj["residual"] = self.residual
+            obj["residual"] = _json_residual(self.residual)
         if self.digest is not None:
             obj["digest"] = self.digest
         obj["pass"] = self.passed
@@ -139,15 +139,8 @@ class CheckReport:
         return f"{status}  {self.name}  {detail}  [{self.elapsed:.2f}s]"
 
 
-def _run(name: str, params: dict, fn: Callable[[], tuple[bool, Optional[float], Optional[str]]]) -> CheckReport:
-    start = time.perf_counter()
-    passed, residual, digest = fn()
-    elapsed = time.perf_counter() - start
-    return CheckReport(name, params, passed, residual, digest, elapsed)
-
-
 # ---------------------------------------------------------------------------
-# individual checks
+# the check table
 # ---------------------------------------------------------------------------
 
 
@@ -158,189 +151,156 @@ def _rand_params(seed: int) -> Phi2Params:
     return Phi2Params.constrained(alpha, gamma)
 
 
-def check_jacobi_numeric(cfg: RunConfig, params: Phi2Params) -> CheckReport:
-    def body():
-        worst = 0.0
-        for seed in cfg.seeds:
-            mats = [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(3)]
-            res = jacobi_cyclic_residual(*mats, params)
-            worst = max(worst, relative_residual(res, mats))
-        return worst <= cfg.tolerance_rel, worst, None
-
-    return _run("jacobi/numeric", {"dim": cfg.dim, **_cplx(params.as_dict())}, body)
+def _mats(cfg: RunConfig, seed: int, n: int) -> list:
+    return [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(n)]
 
 
-def check_identity6_numeric(cfg: RunConfig) -> CheckReport:
-    def body():
-        worst = 0.0
-        for seed in cfg.seeds:
-            mats = [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(4)]
-            for params in (Phi2Params.traced_commutator(), _rand_params(seed)):
-                res = identity6_residual(*mats, params)
-                worst = max(worst, relative_residual(res, mats))
-        return worst <= cfg.tolerance_rel, worst, None
-
-    return _run("identity6/numeric", {"dim": cfg.dim}, body)
+def _pairs(cfg: RunConfig, seed: int, n: int) -> list:
+    return [random_graded_pair(cfg.dim, seed * 10 + i) for i in range(n)]
 
 
-def check_identity6_symbolic(cfg: RunConfig) -> CheckReport:
-    def body():
-        report = verify_identity6_symbolic()
-        digest = "zero-sum" if report.passed else f"{len(report.offending)} residual words"
-        return report.passed, None, digest
-
-    return _run("identity6/symbolic", {"params": "beta=-alpha, delta=-gamma"}, body)
+def _jacobi_numeric(cfg: RunConfig, params: Phi2Params, seed: int) -> Iterator[tuple]:
+    mats = _mats(cfg, seed, 3)
+    yield jacobi_cyclic_residual(*mats, params), mats
 
 
-def check_phi4_numeric(cfg: RunConfig) -> CheckReport:
-    def body():
-        worst = 0.0
-        for seed in cfg.seeds:
-            mats = [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(4)]
-            for k in range(5):
-                params = _rand_params(seed * 1000 + k)
-                res = phi4(*mats, params)
-                worst = max(worst, relative_residual(res, mats))
-        return worst <= cfg.tolerance_rel, worst, None
-
-    return _run("phi4/numeric", {"dim": cfg.dim, "param_draws": 5}, body)
+def _identity6_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+    mats = _mats(cfg, seed, 4)
+    for params in (Phi2Params.traced_commutator(), _rand_params(seed)):
+        yield identity6_residual(*mats, params), mats
 
 
-def check_phi4_symbolic(cfg: RunConfig) -> CheckReport:
-    def body():
-        result = phi4_symbolic(*(symbol_word(s) for s in "ABCD"), constrained_params())
-        return result.is_zero(), None, "zero-sum" if result.is_zero() else f"{len(result)} words"
-
-    return _run("phi4/symbolic", {"params": "beta=-alpha, delta=-gamma"}, body)
+def _phi4_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+    mats = _mats(cfg, seed, 4)
+    for k in range(5):
+        yield phi4(*mats, _rand_params(seed * 1000 + k)), mats
 
 
-def check_appendix1_numeric(cfg: RunConfig) -> CheckReport:
-    def body():
-        params = Phi2Params.traced_commutator()
-        worst = 0.0
-        for seed in cfg.seeds:
-            mats = [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(3)]
-            res = jacobi_cyclic_residual(*mats, params) - closed_remainder(*mats)
-            worst = max(worst, relative_residual(res, mats))
-        return worst <= cfg.tolerance_rel, worst, None
-
-    return _run("appendix1/numeric", {"dim": cfg.dim, "params": "(1,-1,1,-1)"}, body)
+def _appendix1_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+    mats = _mats(cfg, seed, 3)
+    res = jacobi_cyclic_residual(*mats, Phi2Params.traced_commutator()) - closed_remainder(*mats)
+    yield res, mats
 
 
-def check_appendix1_symbolic(cfg: RunConfig) -> CheckReport:
-    def body():
-        lhs = cyclic_sum_symbolic("A", "B", "C", constrained_params())
-        rhs = closed_remainder_symbolic("A", "B", "C")
-        ok = lhs == rhs
-        return ok, None, "exact-match" if ok else "mismatch"
-
-    return _run("appendix1/symbolic", {}, body)
+def _cyclic16_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+    vals = _pairs(cfg, seed, 3)
+    yield cyclic_residual(*vals, cfg.ternary_weights(seed), cfg.convention), vals
 
 
-def check_cyclic16_numeric(cfg: RunConfig) -> CheckReport:
-    def body():
-        worst = 0.0
-        for seed in cfg.seeds:
-            weights = cfg.ternary_weights(seed)
-            vals = [random_graded_pair(cfg.dim, seed * 10 + i) for i in range(3)]
-            res = cyclic_residual(*vals, weights, cfg.convention)
-            worst = max(worst, graded_relative_residual(res, vals))
-        return worst <= cfg.tolerance_rel, worst, None
+def _identity18_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+    vals = _pairs(cfg, seed, 5)
+    yield identity18_residual(*vals, cfg.ternary_weights(seed), cfg.convention), vals
 
-    return _run(
-        "cyclic16/numeric",
-        {"dim": cfg.dim, "weights": cfg.weights_mode, "convention": cfg.convention.label()},
-        body,
+
+def _identity6_symbolic() -> tuple[bool, str]:
+    report = verify_identity6_symbolic()
+    return report.passed, "zero-sum" if report.passed else f"{len(report.offending)} residual words"
+
+
+def _phi4_symbolic() -> tuple[bool, str]:
+    result = phi4_symbolic(*(symbol_word(s) for s in "ABCD"), constrained_params())
+    return result.is_zero(), "zero-sum" if result.is_zero() else f"{len(result)} words"
+
+
+def _appendix1_symbolic() -> tuple[bool, str]:
+    lhs = cyclic_sum_symbolic("A", "B", "C", constrained_params())
+    ok = lhs == closed_remainder_symbolic("A", "B", "C")
+    return ok, "exact-match" if ok else "mismatch"
+
+
+def _cyclic16_symbolic() -> tuple[bool, str]:
+    total = (
+        expand_three_commutator_symbolic("X", "Y", "Z")
+        + expand_three_commutator_symbolic("Z", "X", "Y")
+        + expand_three_commutator_symbolic("Y", "Z", "X")
+    )
+    e1 = WeightPoly.variable("alpha") + WeightPoly.variable("beta") + WeightPoly.variable("gamma")
+    ok = len(total) == 12 and all(c == e1 for _, c in total.sorted_terms())
+    return ok, "per-word alpha+beta+gamma" if ok else "unexpected coefficients"
+
+
+def _appendix2_exact() -> tuple[bool, str]:
+    report = verify_identity18_symbolic(canonical_cubic_weights())
+    if not report.passed:
+        return False, "; ".join(report.failures[:4])
+    return True, (
+        f"instances={report.instance_count} distinct/kind=120 classes=10x12 "
+        f"equations={{{','.join(sorted(WEIGHT_CLASS_POLYS))}}} all-zero"
     )
 
 
-def check_cyclic16_symbolic(cfg: RunConfig) -> CheckReport:
-    def body():
-        total = (
-            expand_three_commutator_symbolic("X", "Y", "Z")
-            + expand_three_commutator_symbolic("Z", "X", "Y")
-            + expand_three_commutator_symbolic("Y", "Z", "X")
-        )
-        e1 = (
-            WeightPoly.variable("alpha")
-            + WeightPoly.variable("beta")
-            + WeightPoly.variable("gamma")
-        )
-        ok = len(total) == 12 and all(c == e1 for _, c in total.sorted_terms())
-        return ok, None, "per-word alpha+beta+gamma" if ok else "unexpected coefficients"
-
-    return _run("cyclic16/symbolic", {}, body)
-
-
-def check_identity18_numeric(cfg: RunConfig) -> CheckReport:
-    def body():
-        worst = 0.0
-        for seed in cfg.seeds:
-            weights = cfg.ternary_weights(seed)
-            vals = [random_graded_pair(cfg.dim, seed * 10 + i) for i in range(5)]
-            res = identity18_residual(*vals, weights, cfg.convention)
-            worst = max(worst, graded_relative_residual(res, vals))
-        return worst <= cfg.tolerance_rel, worst, None
-
-    return _run(
-        "identity18/numeric",
-        {"dim": cfg.dim, "weights": cfg.weights_mode, "convention": cfg.convention.label()},
-        body,
-    )
-
-
-def check_appendix2_exact(cfg: RunConfig) -> CheckReport:
-    def body():
-        report = verify_identity18_symbolic(canonical_cubic_weights())
-        digest = (
-            f"instances={report.instance_count} distinct/kind=120 classes=10x12 "
-            f"equations={{{','.join(sorted(WEIGHT_CLASS_POLYS))}}} all-zero"
-            if report.passed
-            else "; ".join(report.failures[:4])
-        )
-        return report.passed, None, digest
-
-    return _run("appendix2/exact", {"weights": "(1,w,w^2)"}, body)
+def _json_residual(r: float) -> Optional[float]:
+    """Strict JSON has no NaN or inf: a non-finite residual is written as null."""
+    return r if math.isfinite(r) else None
 
 
 def _cplx(d: dict) -> dict:
     return {k: [v.real, v.imag] for k, v in d.items()}
 
 
+def _ternary_params(cfg: RunConfig, _: Phi2Params) -> dict:
+    return {"dim": cfg.dim, "weights": cfg.weights_mode, "convention": cfg.convention.label()}
+
+
+_CONSTRAINED = {"params": "beta=-alpha, delta=-gamma"}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    A numeric body yields (residual, operands) trials for one seed, reduced
+    over all seeds by `worst_residual`; a symbolic body returns
+    (passed, digest).  `params` gives the row's report params.
+    """
+
+    name: str
+    suites: tuple[str, ...]
+    kind: str  # "numeric" or "symbolic"
+    body: Callable
+    params: Callable[[RunConfig, Phi2Params], dict]
+
+    def selected(self, suite: str, mode: str) -> bool:
+        # the appendix2 suite is exact by nature and runs in every mode
+        in_mode = mode in (self.kind, "both") or suite == "appendix2"
+        return in_mode and suite in (*self.suites, "all")
+
+    def run(self, cfg: RunConfig, jacobi_params: Phi2Params) -> CheckReport:
+        start = time.perf_counter()
+        residual = digest = None
+        if self.kind == "numeric":
+            residual = worst_residual(t for seed in cfg.seeds for t in self.body(cfg, jacobi_params, seed))
+            passed = residual <= cfg.tolerance_rel
+            if not math.isfinite(residual):
+                digest = "non-finite residual"
+        else:
+            passed, digest = self.body()
+        elapsed = time.perf_counter() - start
+        return CheckReport(self.name, self.params(cfg, jacobi_params), passed, residual, digest, elapsed)
+
+
+CHECKS = (
+    Check("jacobi/numeric", ("jacobi",), "numeric", _jacobi_numeric,
+          lambda cfg, p: {"dim": cfg.dim, **_cplx(p.as_dict())}),
+    Check("identity6/numeric", ("identity6",), "numeric", _identity6_numeric, lambda cfg, p: {"dim": cfg.dim}),
+    Check("identity6/symbolic", ("identity6",), "symbolic", _identity6_symbolic, lambda cfg, p: _CONSTRAINED),
+    Check("phi4/numeric", ("phi4",), "numeric", _phi4_numeric,
+          lambda cfg, p: {"dim": cfg.dim, "param_draws": 5}),
+    Check("phi4/symbolic", ("phi4",), "symbolic", _phi4_symbolic, lambda cfg, p: _CONSTRAINED),
+    Check("appendix1/numeric", ("appendix1",), "numeric", _appendix1_numeric,
+          lambda cfg, p: {"dim": cfg.dim, "params": "(1,-1,1,-1)"}),
+    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic, lambda cfg, p: {}),
+    Check("cyclic16/numeric", ("cyclic16",), "numeric", _cyclic16_numeric, _ternary_params),
+    Check("cyclic16/symbolic", ("cyclic16",), "symbolic", _cyclic16_symbolic, lambda cfg, p: {}),
+    Check("identity18/numeric", ("identity18",), "numeric", _identity18_numeric, _ternary_params),
+    # the word statistics back both identity18's symbolic mode and the appendix2 suite
+    Check("appendix2/exact", ("identity18", "appendix2"), "symbolic", _appendix2_exact,
+          lambda cfg, p: {"weights": "(1,w,w^2)"}),
+)
+
+
 def build_checks(suite: str, cfg: RunConfig, jacobi_params: Phi2Params) -> list[CheckReport]:
-    numeric = cfg.mode in ("numeric", "both")
-    symbolic = cfg.mode in ("symbolic", "both")
-    reports: list[CheckReport] = []
-    want = lambda s: suite in (s, "all")
-    if want("jacobi") and numeric:
-        reports.append(check_jacobi_numeric(cfg, jacobi_params))
-    if want("identity6"):
-        if numeric:
-            reports.append(check_identity6_numeric(cfg))
-        if symbolic:
-            reports.append(check_identity6_symbolic(cfg))
-    if want("phi4"):
-        if numeric:
-            reports.append(check_phi4_numeric(cfg))
-        if symbolic:
-            reports.append(check_phi4_symbolic(cfg))
-    if want("appendix1"):
-        if numeric:
-            reports.append(check_appendix1_numeric(cfg))
-        if symbolic:
-            reports.append(check_appendix1_symbolic(cfg))
-    if want("cyclic16"):
-        if numeric:
-            reports.append(check_cyclic16_numeric(cfg))
-        if symbolic:
-            reports.append(check_cyclic16_symbolic(cfg))
-    if want("identity18") and numeric:
-        reports.append(check_identity18_numeric(cfg))
-    # the word-statistics check is exact by nature; it backs both the
-    # identity18 symbolic mode and the appendix2 suite
-    if (want("identity18") and symbolic) or suite == "appendix2":
-        reports.append(check_appendix2_exact(cfg))
-    return reports
+    return [c.run(cfg, jacobi_params) for c in CHECKS if c.selected(suite, cfg.mode)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +350,15 @@ def load_convention(source: Optional[str]) -> ChainConvention:
         return survivors[0]
     with open(source, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return ChainConvention.from_json(obj["pairings"])
+    pairings = obj.get("pairings") if isinstance(obj, dict) else None
+    if not isinstance(pairings, dict):
+        # convention-search writes null pairings when no convention survives
+        raise ValueError(f"{source}: descriptor has no pairings")
+    return ChainConvention.from_json(pairings)
 
 
 def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +463,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_convention_search(args: argparse.Namespace) -> int:
     try:
-        seeds = default_seeds(args.seeds)
+        cfg = RunConfig(dim=args.dim, seeds=default_seeds(args.seeds), tolerance_rel=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trials, survivors = convention_search(
-        dim=args.dim, seeds=seeds, tolerance=args.tol
+        dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel
     )
     descriptor = {
         "schema": SCHEMA,
@@ -514,8 +478,8 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
         "trials": [
             {
                 "pairings": t.convention.to_json(),
-                "cyclic_residual": t.cyclic_max,
-                "identity18_residual": t.identity18_max,
+                "cyclic_residual": _json_residual(t.cyclic_max),
+                "identity18_residual": _json_residual(t.identity18_max),
                 "pass": t.passes(args.tol),
             }
             for t in trials
@@ -524,7 +488,7 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(descriptor, fh, indent=2)
+                json.dump(descriptor, fh, indent=2, allow_nan=False)
                 fh.write("\n")
         except OSError as exc:
             print(f"error: cannot write descriptor: {exc}", file=sys.stderr)

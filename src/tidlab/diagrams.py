@@ -87,22 +87,6 @@ class ContractionDiagram:
         total_low = sum(s.lower for s in self.operand_shapes)
         return TensorShape(total_up - len(self.pairs), total_low - len(self.pairs))
 
-    def free_slots(self) -> tuple[list[SlotRef], list[SlotRef]]:
-        """Free uppers and lowers in canonical output order."""
-        used = {ref for pair in self.pairs for ref in pair}
-        ups, lows = [], []
-        for i, shape in enumerate(self.operand_shapes):
-            for pos in range(shape.upper):
-                ref = SlotRef(i, UPPER, pos)
-                if ref not in used:
-                    ups.append(ref)
-        for i, shape in enumerate(self.operand_shapes):
-            for pos in range(shape.lower):
-                ref = SlotRef(i, LOWER, pos)
-                if ref not in used:
-                    lows.append(ref)
-        return ups, lows
-
     def is_connected(self) -> bool:
         """True when the contraction edges join all operands into one component."""
         n = len(self.operand_shapes)

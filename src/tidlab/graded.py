@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclo import CycloScalar
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
-from .tensors import DenseTensor, TensorShape, apply_diagram
+from .matrixops import relative_residual, worst_residual
+from .tensors import DenseTensor, TensorShape, _random_draw, apply_diagram
 from .words import (
     BRACKET_WORD_ORDER,
     HIGH,
@@ -105,15 +107,7 @@ class GradedPair:
 def random_graded_pair(dim: int, seed: int) -> GradedPair:
     """Deterministic random element; component entries uniform in [-1,1]^2."""
     rng = np.random.default_rng(seed)
-
-    def draw(shape: TensorShape) -> DenseTensor:
-        size = (dim,) * shape.order
-        return DenseTensor(shape, dim, rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
-
-    return GradedPair(draw(_LOW_SHAPE), draw(_HIGH_SHAPE))
-
-
-_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
+    return GradedPair(_random_draw(rng, _LOW_SHAPE, dim), _random_draw(rng, _HIGH_SHAPE, dim))
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,8 @@ class TernaryWeights:
     @classmethod
     def canonical(cls) -> "TernaryWeights":
         """The cube roots of unity (1, w, w^2)."""
-        return cls(1.0 + 0j, _OMEGA, _OMEGA * _OMEGA)
+        w = CycloScalar.omega().to_complex()
+        return cls(1.0 + 0j, w, w * w)
 
     @classmethod
     def random_zero_sum(cls, seed: int) -> "TernaryWeights":
@@ -340,12 +335,8 @@ def word_generators(word: GradedWord) -> list[tuple[str, ...]]:
     return [tuple(symbols[i : i + 3]) for i in range(len(symbols) - 2)]
 
 
-def graded_relative_residual(residual: GradedPair, operands: list[GradedPair]) -> float:
-    """Residual norm over the product of operand norms."""
-    scale = 1.0
-    for x in operands:
-        scale *= max(x.norm(), np.finfo(float).tiny)
-    return residual.norm() / scale
+# DenseTensor and GradedPair share the norm-based measure
+graded_relative_residual = relative_residual
 
 
 @dataclass(frozen=True)
@@ -375,20 +366,12 @@ def convention_search(
     """
     if weights is None:
         weights = TernaryWeights.canonical()
+    draws = [[random_graded_pair(dim, seed * 100 + i) for i in range(5)] for seed in seeds]
     trials = []
     survivors = []
     for conv in ChainConvention.all_conventions():
-        c_max = 0.0
-        i_max = 0.0
-        for seed in seeds:
-            vals = {c: random_graded_pair(dim, seed * 100 + i) for i, c in enumerate("ABCDE")}
-            x, y, z = vals["A"], vals["B"], vals["C"]
-            c_res = cyclic_residual(x, y, z, weights, conv)
-            c_max = max(c_max, graded_relative_residual(c_res, [x, y, z]))
-            i_res = identity18_residual(*(vals[ch] for ch in "ABCDE"), weights, conv)
-            i_max = max(
-                i_max, graded_relative_residual(i_res, [vals[ch] for ch in "ABCDE"])
-            )
+        c_max = worst_residual((cyclic_residual(*vals[:3], weights, conv), vals[:3]) for vals in draws)
+        i_max = worst_residual((identity18_residual(*vals, weights, conv), vals) for vals in draws)
         trial = ConventionTrial(conv, c_max, i_max)
         trials.append(trial)
         if trial.passes(tolerance):

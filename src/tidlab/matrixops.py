@@ -10,12 +10,15 @@ identity checked by `identity6_residual`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
 from .tensors import DenseTensor, TensorShape, apply_diagram
+from .words import IDENTITY6_TERMS
 
 __all__ = [
     "Phi2Params",
@@ -26,6 +29,7 @@ __all__ = [
     "identity6_residual",
     "closed_remainder",
     "relative_residual",
+    "worst_residual",
 ]
 
 _MAT = TensorShape(1, 1)
@@ -138,21 +142,13 @@ def jacobi_cyclic_residual(
     )
 
 
-# the printed twelve-term order; "WXYZ" means ((W∘X)∘Y)∘Z
-_IDENTITY6_TERMS = (
-    "ABCD", "CBDA", "CDAB", "ADBC",
-    "CABD", "DCBA", "ACDB", "BADC",
-    "BCAD", "BDCA", "DACB", "DBAC",
-)
-
-
 def identity6_residual(
     a: DenseTensor, b: DenseTensor, c: DenseTensor, d: DenseTensor, p: Phi2Params
 ) -> DenseTensor:
     """The literal twelve-term nested sum, term order as printed."""
     mats = {"A": a, "B": b, "C": c, "D": d}
     total = DenseTensor.zeros(_MAT, a.dim)
-    for term in _IDENTITY6_TERMS:
+    for term in IDENTITY6_TERMS:
         w, x, y, z = (mats[ch] for ch in term)
         total = total + phi2(phi2(phi2(w, x, p), y, p), z, p)
     return total
@@ -175,13 +171,29 @@ def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTen
     return DenseTensor(_MAT, a.dim, out)
 
 
-def relative_residual(residual: DenseTensor, operands: list[DenseTensor]) -> float:
+def relative_residual(residual, operands: Sequence) -> float:
     """Residual norm scaled by the product of operand norms.
 
     The identities are multilinear of the operands' degree, so this is the
-    scale-invariant error measure used by every tolerance in the suite.
+    scale-invariant error measure used by every tolerance in the suite.  Any
+    values with a `norm()` work: `DenseTensor`s or `GradedPair`s.
     """
     scale = 1.0
     for t in operands:
         scale *= max(t.norm(), np.finfo(float).tiny)
     return residual.norm() / scale
+
+
+def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
+    """The largest `relative_residual` over (residual, operands) trials.
+
+    Fails closed: a NaN or infinite residual makes the result `math.inf`, which
+    no tolerance passes (a plain `max` would drop a NaN).
+    """
+    worst = 0.0
+    for residual, operands in trials:
+        r = relative_residual(residual, operands)
+        if not math.isfinite(r):
+            return math.inf
+        worst = max(worst, r)
+    return worst

@@ -147,7 +147,8 @@ class DenseTensor:
         )
 
     def __hash__(self):
-        return hash((self.shape, self.dim, self.data.tobytes()))
+        # + 0.0 maps -0.0 to +0.0, which __eq__ already treats as equal
+        return hash((self.shape, self.dim, (self.data + 0.0).tobytes()))
 
     def norm(self) -> float:
         """Frobenius norm over all entries."""
@@ -286,7 +287,11 @@ def random_tensor(shape: TensorShape, dim: int, seed: int) -> DenseTensor:
     Entries are complex on purpose: real-symmetric accidents can hide
     identity violations that generic complex data exposes.
     """
-    rng = np.random.default_rng(seed)
+    return _random_draw(np.random.default_rng(seed), shape, dim)
+
+
+def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> DenseTensor:
+    """The next tensor from `rng`: all real parts are drawn first, then the imaginary."""
     size = (dim,) * shape.order
     re = rng.uniform(-1.0, 1.0, size)
     im = rng.uniform(-1.0, 1.0, size)

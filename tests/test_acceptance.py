@@ -23,7 +23,6 @@ from tidlab.graded import (
     TernaryWeights,
     convention_search,
     cyclic_residual,
-    graded_relative_residual,
     identity18_residual,
     random_graded_pair,
 )
@@ -32,7 +31,7 @@ from tidlab.matrixops import (
     closed_remainder,
     jacobi_cyclic_residual,
     phi4,
-    relative_residual,
+    worst_residual,
 )
 from tidlab.tensors import TensorShape, grading, random_tensor
 from tidlab.words import (
@@ -92,11 +91,14 @@ def test_criterion_1_enumeration_counts():
 def test_criterion_2_classical_jacobi():
     start = time.perf_counter()
     p = Phi2Params.commutator()
-    worst = 0.0
-    for n in (2, 3, 4):
-        for seed in range(1, 101):
-            mats = rand_mats(n, seed + 1000 * n, 3)
-            worst = max(worst, relative_residual(jacobi_cyclic_residual(*mats, p), mats))
+
+    def trials():
+        for n in (2, 3, 4):
+            for seed in range(1, 101):
+                mats = rand_mats(n, seed + 1000 * n, 3)
+                yield jacobi_cyclic_residual(*mats, p), mats
+
+    worst = worst_residual(trials())
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -109,12 +111,14 @@ def test_criterion_2_classical_jacobi():
 def test_criterion_3_closed_remainder():
     start = time.perf_counter()
     p = Phi2Params.traced_commutator()
-    worst = 0.0
-    for n in (2, 3, 4):
-        for seed in range(1, 101):
-            mats = rand_mats(n, seed + 2000 * n, 3)
-            res = jacobi_cyclic_residual(*mats, p) - closed_remainder(*mats)
-            worst = max(worst, relative_residual(res, mats))
+
+    def trials():
+        for n in (2, 3, 4):
+            for seed in range(1, 101):
+                mats = rand_mats(n, seed + 2000 * n, 3)
+                yield jacobi_cyclic_residual(*mats, p) - closed_remainder(*mats), mats
+
+    worst = worst_residual(trials())
     numeric_ok = worst <= 1e-10
     symbolic_ok = cyclic_sum_symbolic(
         "A", "B", "C", constrained_params()
@@ -130,16 +134,18 @@ def test_criterion_3_closed_remainder():
 
 def test_criterion_4_phi4_vanishes():
     start = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3, 4):
-        for seed in range(1, 101):
-            mats = rand_mats(n, seed + 3000 * n, 4)
-            for k in range(5):
-                rng = np.random.default_rng(seed * 100 + k)
-                alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                gamma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                params = Phi2Params.constrained(alpha, gamma)
-                worst = max(worst, relative_residual(phi4(*mats, params), mats))
+
+    def trials():
+        for n in (2, 3, 4):
+            for seed in range(1, 101):
+                mats = rand_mats(n, seed + 3000 * n, 4)
+                for k in range(5):
+                    rng = np.random.default_rng(seed * 100 + k)
+                    alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    gamma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    yield phi4(*mats, Phi2Params.constrained(alpha, gamma)), mats
+
+    worst = worst_residual(trials())
     numeric_ok = worst <= 1e-10
     symbolic_report = verify_identity6_symbolic()  # polynomial weights (alpha, gamma)
     elapsed = time.perf_counter() - start
@@ -156,12 +162,14 @@ def test_criterion_5_cyclic_property():
     trials, survivors = convention_search(dim=2, seeds=(1, 2))
     convention_ok = CANONICAL_CONVENTION in survivors
     w = TernaryWeights.canonical()
-    worst = 0.0
-    for n in (2, 3):
-        for seed in range(1, 101):
-            vals = [random_graded_pair(n, seed + 4000 * n + 7 * i) for i in range(3)]
-            res = cyclic_residual(*vals, w, CANONICAL_CONVENTION)
-            worst = max(worst, graded_relative_residual(res, vals))
+
+    def trials():
+        for n in (2, 3):
+            for seed in range(1, 101):
+                vals = [random_graded_pair(n, seed + 4000 * n + 7 * i) for i in range(3)]
+                yield cyclic_residual(*vals, w, CANONICAL_CONVENTION), vals
+
+    worst = worst_residual(trials())
     numeric_ok = worst <= 1e-10
     cyclic_sum = (
         expand_three_commutator_symbolic("X", "Y", "Z")
@@ -187,12 +195,14 @@ def test_criterion_5_cyclic_property():
 def test_criterion_6_twenty_term_identity():
     start = time.perf_counter()
     w = TernaryWeights.canonical()
-    worst = 0.0
-    for n in (2, 3):
-        for seed in range(1, 26):
-            vals = [random_graded_pair(n, seed + 5000 * n + 11 * i) for i in range(5)]
-            res = identity18_residual(*vals, w, CANONICAL_CONVENTION)
-            worst = max(worst, graded_relative_residual(res, vals))
+
+    def trials():
+        for n in (2, 3):
+            for seed in range(1, 26):
+                vals = [random_graded_pair(n, seed + 5000 * n + 11 * i) for i in range(5)]
+                yield identity18_residual(*vals, w, CANONICAL_CONVENTION), vals
+
+    worst = worst_residual(trials())
     elapsed = time.perf_counter() - start
     report(
         6,

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from tidlab.cli import main, parse_seeds, parse_shapes
+import tidlab.matrixops
+from tidlab.cli import CHECKS, main, parse_seeds, parse_shapes
 from tidlab.tensors import TensorShape
 
 
@@ -175,3 +177,76 @@ def test_verify_all_smoke(capsys):
     names = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
     assert names == sorted(names)
     assert "identity18/numeric" in names and "appendix2/exact" in names
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_nan_residual_fails_closed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tidlab.matrixops, "relative_residual", lambda residual, operands: math.nan)
+    code, out, _ = run(capsys, ["verify", "jacobi", "--dim", "2", "--seeds", "1..2", "--json"])
+    assert code == 1
+    (check,) = json.loads(out, parse_constant=_no_constant)["checks"]
+    assert check["pass"] is False
+    assert check["residual"] is None and check["digest"] == "non-finite residual"
+
+    path = tmp_path / "convention.json"
+    code, out, err = run(
+        capsys, ["convention-search", "--dim", "2", "--seeds", "1", "--out", str(path), "--json"]
+    )
+    assert code == 1 and "no surviving convention" in err
+    for text in (out, path.read_text()):
+        descriptor = json.loads(text, parse_constant=_no_constant)
+        assert descriptor["pairings"] is None and descriptor["survivors"] == []
+        assert not any(t["pass"] for t in descriptor["trials"])
+
+
+def test_verify_null_descriptor_usage_error(tmp_path, capsys):
+    path = tmp_path / "convention.json"
+    path.write_text(json.dumps({"schema": "tidlab/1", "pairings": None}))
+    code, _, err = run(capsys, ["verify", "cyclic16", "--convention", str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, value", [("--dim", "0"), ("--tol", "-1")])
+def test_convention_search_bad_argument_usage_error(capsys, flag, value):
+    code, _, err = run(capsys, ["convention-search", "--seeds", "1", flag, value])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+_NUMERIC = ["jacobi/numeric", "identity6/numeric", "phi4/numeric", "cyclic16/numeric",
+            "identity18/numeric", "appendix1/numeric"]
+_SYMBOLIC = ["identity6/symbolic", "phi4/symbolic", "cyclic16/symbolic", "appendix1/symbolic",
+             "appendix2/exact"]
+# captured from the per-suite selection before the check table existed
+_SELECTED = {
+    ("jacobi", "numeric"): ["jacobi/numeric"],
+    ("jacobi", "symbolic"): [],
+    ("jacobi", "both"): ["jacobi/numeric"],
+    **{
+        (s, m): names
+        for s in ("identity6", "phi4", "cyclic16", "appendix1")
+        for m, names in (
+            ("numeric", [f"{s}/numeric"]),
+            ("symbolic", [f"{s}/symbolic"]),
+            ("both", [f"{s}/numeric", f"{s}/symbolic"]),
+        )
+    },
+    ("identity18", "numeric"): ["identity18/numeric"],
+    ("identity18", "symbolic"): ["appendix2/exact"],
+    ("identity18", "both"): ["appendix2/exact", "identity18/numeric"],
+    ("appendix2", "numeric"): ["appendix2/exact"],
+    ("appendix2", "symbolic"): ["appendix2/exact"],
+    ("appendix2", "both"): ["appendix2/exact"],
+    ("all", "numeric"): sorted(_NUMERIC),
+    ("all", "symbolic"): sorted(_SYMBOLIC),
+    ("all", "both"): sorted(_NUMERIC + _SYMBOLIC),
+}
+
+
+@pytest.mark.parametrize("suite, mode", sorted(_SELECTED))
+def test_check_table_selection(suite, mode):
+    assert sorted(c.name for c in CHECKS if c.selected(suite, mode)) == _SELECTED[suite, mode]

@@ -190,3 +190,10 @@ def test_tensor_immutable():
 def test_from_entries_length_check():
     with pytest.raises(ValueError):
         DenseTensor.from_entries(MAT, 2, [1, 2, 3])
+
+
+def test_signed_zeros_equal_and_hash_alike():
+    pos = DenseTensor.from_matrix([[0.0, 1.0], [2.0, 0.0]])
+    neg = DenseTensor.from_matrix([[-0.0, 1.0], [2.0, complex(0.0, -0.0)]])
+    assert pos == neg
+    assert len({pos, neg}) == 1
