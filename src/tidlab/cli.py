@@ -299,10 +299,6 @@ CHECKS = (
 )
 
 
-def build_checks(suite: str, cfg: RunConfig, jacobi_params: Phi2Params) -> list[CheckReport]:
-    return [c.run(cfg, jacobi_params) for c in CHECKS if c.selected(suite, cfg.mode)]
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -383,7 +379,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = build_checks(args.suite, cfg, jacobi_params)
+    selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
+    if not selected:
+        print(f"error: suite {args.suite!r} has no {cfg.mode} checks", file=sys.stderr)
+        return 2
+    reports = [c.run(cfg, jacobi_params) for c in selected]
     reports.sort(key=lambda r: r.name)
     all_pass = all(r.passed for r in reports)
     if args.json:

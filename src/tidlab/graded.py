@@ -15,6 +15,7 @@ the survivors; the canonical convention pairs slots in parallel everywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,6 +147,7 @@ class TernaryWeights:
         return getattr(self, name)
 
 
+@functools.lru_cache(maxsize=None)
 def _chain_diagram(kind: str, direction: str, pairing: str) -> ContractionDiagram:
     """The end-to-end chain over one alternating word, with explicit slot pairing.
 

@@ -8,6 +8,7 @@ serialization order.  All values are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
@@ -220,7 +221,19 @@ def contract(a: DenseTensor, upper_slot: int, lower_slot: int) -> DenseTensor:
 
 @lru_cache(maxsize=None)
 def _einsum_plan(diagram: "ContractionDiagram"):
-    """Integer einsum subscripts for a diagram: per-operand labels + output labels."""
+    """Compile a diagram once into pairwise einsum steps with integer subscripts.
+
+    Returns (steps, final_subs, out_sub, output_shape).  Each step
+    (i, j, sub_i, sub_j, sub_kept) contracts working operands i < j and
+    appends the result, keeping only the labels that a remaining operand or
+    the output still needs.  The last call contracts the remaining one or two
+    operands straight into the output order, so a one- or two-operand
+    diagram is a single einsum over the diagram's own subscripts.
+
+    Every slot ranges over the same dimension d, so a step spanning k labels
+    costs d^k at every d: greedily joining the pair with the fewest labels in
+    their union fixes one order for all dimensions.
+    """
     label: dict[tuple[int, str, int], int] = {}
     next_label = 0
     for up, low in sorted(diagram.pairs):
@@ -229,7 +242,7 @@ def _einsum_plan(diagram: "ContractionDiagram"):
         label[key_u] = next_label
         label[key_l] = next_label
         next_label += 1
-    subs: list[list[int]] = []
+    subs: list[tuple[int, ...]] = []
     free_upper: list[int] = []
     free_lower: list[int] = []
     for i, shape in enumerate(diagram.operand_shapes):
@@ -248,8 +261,20 @@ def _einsum_plan(diagram: "ContractionDiagram"):
                 free_lower.append(next_label)
                 next_label += 1
             sub.append(label[key])
-        subs.append(sub)
-    return tuple(tuple(s) for s in subs), tuple(free_upper + free_lower)
+        subs.append(tuple(sub))
+    out_sub = tuple(free_upper + free_lower)
+
+    steps = []
+    while len(subs) > 2:
+        i, j = min(
+            itertools.combinations(range(len(subs)), 2),
+            key=lambda ij: len(set(subs[ij[0]] + subs[ij[1]])),
+        )
+        needed = set(out_sub).union(*(s for k, s in enumerate(subs) if k not in (i, j)))
+        kept = tuple(dict.fromkeys(x for x in subs[i] + subs[j] if x in needed))
+        steps.append((i, j, subs[i], subs[j], kept))
+        subs = [s for k, s in enumerate(subs) if k not in (i, j)] + [kept]
+    return tuple(steps), tuple(subs), out_sub, diagram.output_shape
 
 
 def apply_diagram(
@@ -259,7 +284,8 @@ def apply_diagram(
 
     Equivalent to forming the full tensor product and contracting each matched
     pair; free slots come out in canonical order (free uppers in operand
-    order, then free lowers in operand order).
+    order, then free lowers in operand order).  The contraction runs in the
+    pairwise order compiled once per diagram by `_einsum_plan`.
     """
     shapes = tuple(t.shape for t in operands)
     if shapes != diagram.operand_shapes:
@@ -271,14 +297,19 @@ def apply_diagram(
     if len(dims) != 1:
         raise ValueError(f"operands have mixed dimensions: {sorted(dims)}")
     dim = dims.pop()
-    subs, out_sub = _einsum_plan(diagram)
+    steps, final_subs, out_sub, out_shape = _einsum_plan(diagram)
+    arrays = [t.data for t in operands]
+    for i, j, sub_i, sub_j, sub_kept in steps:
+        b = arrays.pop(j)
+        a = arrays.pop(i)
+        arrays.append(np.einsum(a, sub_i, b, sub_j, sub_kept))
     args: list = []
-    for t, s in zip(operands, subs):
-        args.append(t.data)
-        args.append(list(s))
-    args.append(list(out_sub))
+    for a, s in zip(arrays, final_subs):
+        args.append(a)
+        args.append(s)
+    args.append(out_sub)
     out = np.einsum(*args)
-    return DenseTensor(diagram.output_shape, dim, np.asarray(out))
+    return DenseTensor(out_shape, dim, np.asarray(out))
 
 
 def random_tensor(shape: TensorShape, dim: int, seed: int) -> DenseTensor:

@@ -78,6 +78,14 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_empty_selection_usage_error(capsys):
+    # jacobi has no symbolic check, so nothing would be verified
+    code, out, err = run(capsys, ["verify", "jacobi", "--mode", "symbolic", "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_cyclic16_unbalanced_weights_fail(capsys):
     code, out, _ = run(
         capsys,

@@ -1,12 +1,16 @@
 import itertools
+import string
 
 import numpy as np
 import pytest
 
 from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotRef, enumerate_diagrams
+from tidlab.graded import CROSSED, PARALLEL, _chain_diagram
+from tidlab.words import HIGH as HIGH_WORD, LOW as LOW_WORD
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
+    _einsum_plan,
     apply_diagram,
     contract,
     grading,
@@ -197,3 +201,59 @@ def test_signed_zeros_equal_and_hash_alike():
     neg = DenseTensor.from_matrix([[-0.0, 1.0], [2.0, complex(0.0, -0.0)]])
     assert pos == neg
     assert len({pos, neg}) == 1
+
+
+HIGH = TensorShape(2, 1)
+LOW = TensorShape(1, 2)
+
+
+def _single_einsum(diagram, ops):
+    """The whole diagram as one np.einsum call: pairs lettered in sorted order, then free slots."""
+    letters = iter(string.ascii_lowercase)
+    slot = {}
+    for up, low in sorted(diagram.pairs):
+        slot[up] = slot[low] = next(letters)
+    subs, free = [], {UPPER: "", LOWER: ""}
+    for i, shape in enumerate(diagram.operand_shapes):
+        sub = ""
+        for kind, count in ((UPPER, shape.upper), (LOWER, shape.lower)):
+            for pos in range(count):
+                ref = SlotRef(i, kind, pos)
+                if ref not in slot:
+                    slot[ref] = next(letters)
+                    free[kind] += slot[ref]
+                sub += slot[ref]
+        subs.append(sub)
+    return np.einsum(",".join(subs) + "->" + free[UPPER] + free[LOWER], *(t.data for t in ops))
+
+
+def _diagrams_with_operands(families, dims):
+    for shapes in families:
+        for d in enumerate_diagrams(shapes, EnumOptions()):
+            for dim in dims:
+                yield d, [random_tensor(s, dim, 31 * dim + i) for i, s in enumerate(shapes)]
+
+
+def test_apply_diagram_matches_single_einsum():
+    # self-contractions, disconnected diagrams and scalar outputs are all listed
+    families = ([MAT, MAT], [HIGH, HIGH, LOW], [LOW, LOW, HIGH], [TensorShape(2, 2)])
+    for d, ops in _diagrams_with_operands(families, (1, 2, 3)):
+        out = apply_diagram(d, ops)
+        assert out.shape == d.output_shape
+        assert np.allclose(out.data, _single_einsum(d, ops), rtol=1e-12, atol=1e-12), d.to_json()
+
+
+def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
+    for d, ops in _diagrams_with_operands(([MAT, MAT], [HIGH, LOW]), (1, 2, 3)):
+        assert np.array_equal(apply_diagram(d, ops).data, _single_einsum(d, ops)), d.to_json()
+
+
+def test_chain_plans_span_at_most_four_labels():
+    for kind, direction, pairing in itertools.product(
+        (HIGH_WORD, LOW_WORD), ("l2r", "r2l"), (PARALLEL, CROSSED)
+    ):
+        steps, final_subs, out_sub, _ = _einsum_plan(_chain_diagram(kind, direction, pairing))
+        spans = [set(sub_i + sub_j + kept) for _, _, sub_i, sub_j, kept in steps]
+        spans.append(set(itertools.chain(out_sub, *final_subs)))
+        assert len(steps) == 1
+        assert max(map(len, spans)) <= 4
