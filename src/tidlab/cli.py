@@ -78,8 +78,10 @@ class RunConfig:
     convention: ChainConvention = CANONICAL_CONVENTION
 
     def __post_init__(self) -> None:
-        if self.tolerance_rel <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance_rel) and self.tolerance_rel > 0):
+            raise ValueError("tolerance must be positive and finite")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds must be non-negative")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.mode not in ("numeric", "symbolic", "both"):

@@ -212,43 +212,16 @@ def _all_matchings(
 
 def _canonical_key(
     pairs: frozenset[tuple[SlotRef, SlotRef]],
-    shapes: tuple[TensorShape, ...],
+    op_perms: list[tuple[int, ...]],
     quot_slots: bool,
-    quot_operands: bool,
 ) -> tuple:
     """Minimal encoding of a matching over its symmetry-group orbit."""
-    n = len(shapes)
-    if quot_operands:
-        op_perms = [
-            p
-            for p in itertools.permutations(range(n))
-            if all(shapes[p[i]] == shapes[i] for i in range(n))
-        ]
-    else:
-        op_perms = [tuple(range(n))]
-    if quot_slots:
-        upper_perms = [list(itertools.permutations(range(s.upper))) for s in shapes]
-        lower_perms = [list(itertools.permutations(range(s.lower))) for s in shapes]
-    else:
-        upper_perms = [[tuple(range(s.upper))] for s in shapes]
-        lower_perms = [[tuple(range(s.lower))] for s in shapes]
 
-    best = None
-    for op_perm in op_perms:
-        for ups in itertools.product(*upper_perms):
-            for lows in itertools.product(*lower_perms):
-                enc = tuple(
-                    sorted(
-                        (
-                            (op_perm[u.operand], ups[u.operand][u.position]),
-                            (op_perm[l.operand], lows[l.operand][l.position]),
-                        )
-                        for u, l in pairs
-                    )
-                )
-                if best is None or enc < best:
-                    best = enc
-    return best
+    # Slots within an operand permute freely, so the operand-level edge counts fix a slot orbit.
+    def end(p: tuple[int, ...], ref: SlotRef):
+        return p[ref.operand] if quot_slots else (p[ref.operand], ref.position)
+
+    return min(tuple(sorted((end(p, u), end(p, l)) for u, l in pairs)) for p in op_perms)
 
 
 def enumerate_diagrams(
@@ -263,6 +236,14 @@ def enumerate_diagrams(
     shapes = tuple(shapes)
     if not shapes:
         raise ValueError("need at least one operand shape")
+    identity = tuple(range(len(shapes)))
+    op_perms = [identity]
+    if options.quotient_by_operand_symmetry:
+        op_perms = [
+            p
+            for p in itertools.permutations(identity)
+            if all(shapes[i] == shapes[j] for i, j in enumerate(p))
+        ]
     chosen: dict[tuple, ContractionDiagram] = {}
     for pairs in _all_matchings(shapes, options.forbid_self_contraction):
         diagram = ContractionDiagram(shapes, pairs)
@@ -273,17 +254,11 @@ def enumerate_diagrams(
             continue
         if options.require_connected and not diagram.is_connected():
             continue
-        key = _canonical_key(
-            pairs,
-            shapes,
-            options.quotient_by_slot_symmetry,
-            options.quotient_by_operand_symmetry,
-        )
+        key = _canonical_key(pairs, op_perms, options.quotient_by_slot_symmetry)
         prev = chosen.get(key)
         if prev is None or diagram.sort_key() < prev.sort_key():
             chosen[key] = diagram
-    out = sorted(chosen.values(), key=ContractionDiagram.sort_key)
-    return out
+    return sorted(chosen.values(), key=ContractionDiagram.sort_key)
 
 
 def classify_by_output(

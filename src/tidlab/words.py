@@ -179,11 +179,7 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc = terms.get(word, WeightPoly.zero()) + coeff
-            if acc.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = acc
+            terms[word] = terms.get(word, WeightPoly.zero()) + coeff
         return FormalSum(terms)
 
     def __neg__(self) -> "FormalSum":
@@ -248,11 +244,7 @@ def _bilinear(x: FormalSum, y: FormalSum, word_op) -> FormalSum:
     for wx, cx in x.terms.items():
         for wy, cy in y.terms.items():
             word = word_op(wx, wy)
-            acc = terms.get(word, WeightPoly.zero()) + cx * cy
-            if acc.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = acc
+            terms[word] = terms.get(word, WeightPoly.zero()) + cx * cy
     return FormalSum(terms)
 
 
@@ -410,11 +402,7 @@ def expand_three_commutator_symbolic(
     for order, wname in BRACKET_WORD_ORDER:
         for kind in (HIGH, LOW):
             word = GradedWord(tuple(args[i] for i in order), kind)
-            acc = terms.get(word, WeightPoly.zero()) + table[wname]
-            if acc.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = acc
+            terms[word] = terms.get(word, WeightPoly.zero()) + table[wname]
     return FormalSum(terms)
 
 

@@ -218,11 +218,16 @@ def test_verify_null_descriptor_usage_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("flag, value", [("--dim", "0"), ("--tol", "-1")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--dim", "0"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "nan"), ("--seeds", "-1")],
+)
 def test_convention_search_bad_argument_usage_error(capsys, flag, value):
-    code, _, err = run(capsys, ["convention-search", "--seeds", "1", flag, value])
-    assert code == 2
-    assert err.startswith("error:")
+    for command in (["convention-search"], ["verify", "jacobi", "--json"]):
+        code, out, err = run(capsys, [*command, "--seeds", "1", flag, value])
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error:")
 
 
 _NUMERIC = ["jacobi/numeric", "identity6/numeric", "phi4/numeric", "cyclic16/numeric",

@@ -1,11 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from tidlab.diagrams import (
+    LOWER,
     UNORDERED_CONNECTED,
+    UPPER,
     ContractionDiagram,
     EnumOptions,
+    SlotRef,
     classify_by_output,
     convention_survey,
     count_primary_operations,
@@ -20,8 +24,6 @@ LOW = TensorShape(1, 2)
 
 
 def with_output(options: EnumOptions, shape: TensorShape) -> EnumOptions:
-    from dataclasses import replace
-
     return replace(options, required_output_shape=shape)
 
 
@@ -179,3 +181,74 @@ def test_diagram_output_shape_examples():
 def test_empty_shape_list_rejected():
     with pytest.raises(ValueError):
         enumerate_diagrams([])
+
+
+def _symmetry_group(shapes, options):
+    """Each element maps a labelled matching to its image under the options' quotients."""
+    n = len(shapes)
+    identity = tuple(range(n))
+    ops = [identity]
+    if options.quotient_by_operand_symmetry:
+        ops = [
+            p
+            for p in itertools.permutations(identity)
+            if all(shapes[i] == shapes[j] for i, j in enumerate(p))
+        ]
+
+    def slot_perms(count):
+        if options.quotient_by_slot_symmetry:
+            return list(itertools.permutations(range(count)))
+        return [tuple(range(count))]
+
+    for p in ops:
+        for ups in itertools.product(*(slot_perms(s.upper) for s in shapes)):
+            for lows in itertools.product(*(slot_perms(s.lower) for s in shapes)):
+
+                def image(pairs, p=p, ups=ups, lows=lows):
+                    return frozenset(
+                        (
+                            SlotRef(p[u.operand], UPPER, ups[u.operand][u.position]),
+                            SlotRef(p[l.operand], LOWER, lows[l.operand][l.position]),
+                        )
+                        for u, l in pairs
+                    )
+
+                yield image
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[MAT, MAT], [HIGH, HIGH, LOW], [LOW, LOW, HIGH], [TensorShape(2, 2)] * 2],
+    ids=["(1,1)^2", "high", "low", "(2,2)^2"],
+)
+def test_orbit_count_matches_burnside(shapes):
+    # independent of the enumerator's orbit key: Burnside's lemma counts orbits
+    # as the mean number of labelled matchings each group element fixes
+    for bits in itertools.product((False, True), repeat=4):
+        options = EnumOptions(*bits)
+        labelled = [
+            d.pairs
+            for d in enumerate_diagrams(
+                shapes,
+                replace(options, quotient_by_slot_symmetry=False, quotient_by_operand_symmetry=False),
+            )
+        ]
+        group = list(_symmetry_group(shapes, options))
+        fixed = sum(g(pairs) == pairs for g in group for pairs in labelled)
+        assert fixed % len(group) == 0
+        representatives = enumerate_diagrams(shapes, options)
+        assert len(representatives) == fixed // len(group), options
+        for d in representatives:
+            assert all(
+                ContractionDiagram(d.operand_shapes, g(d.pairs)).sort_key() >= d.sort_key()
+                for g in group
+            )
+
+
+def test_cube_orbit_count():
+    # too big for the Burnside oracle: 2921 labelled matchings, 384 group elements
+    diagrams = enumerate_diagrams([TensorShape(2, 2)] * 3, UNORDERED_CONNECTED)
+    assert len(diagrams) == 22
+    assert classify_by_output(diagrams) == {
+        TensorShape(k, k): count for k, count in enumerate((2, 3, 8, 6, 3))
+    }
