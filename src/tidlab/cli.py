@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -338,11 +338,12 @@ def default_seeds(args_seeds: Optional[str]) -> tuple[int, ...]:
     return tuple(range(1, 11))
 
 
-def load_convention(source: Optional[str]) -> ChainConvention:
+def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
+    """The convention named by `--convention`; auto-search runs on cfg's grid."""
     if source is None:
         return CANONICAL_CONVENTION
     if source == "auto-search":
-        _, survivors = convention_search()
+        _, survivors = convention_search(dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel)
         if not survivors:
             raise ValueError("convention auto-search found no surviving convention")
         return survivors[0]
@@ -373,17 +374,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             weights_mode=args.weights if args.weights in ("canonical", "random-constrained") else "explicit",
             explicit_weights=_parse_weights(args.weights),
             mode=args.mode,
-            convention=load_convention(args.convention),
         )
         jacobi_params = Phi2Params(
             complex(args.alpha), complex(args.beta), complex(args.gamma), complex(args.delta)
         )
+        selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
+        if not selected:
+            raise ValueError(f"suite {args.suite!r} has no {cfg.mode} checks")
+        # last: auto-search is slow and runs on the validated grid
+        cfg = replace(cfg, convention=load_convention(args.convention, cfg))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
-    if not selected:
-        print(f"error: suite {args.suite!r} has no {cfg.mode} checks", file=sys.stderr)
         return 2
     reports = [c.run(cfg, jacobi_params) for c in selected]
     reports.sort(key=lambda r: r.name)

@@ -207,11 +207,7 @@ class WeightPoly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in o.terms.items():
-            acc = terms.get(mono, CycloScalar.zero()) + coeff
-            if acc.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
+            terms[mono] = terms.get(mono, CycloScalar.zero()) + coeff
         return WeightPoly(terms)
 
     __radd__ = __add__
@@ -236,11 +232,7 @@ class WeightPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = terms.get(mono, CycloScalar.zero()) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
+                terms[mono] = terms.get(mono, CycloScalar.zero()) + c1 * c2
         return WeightPoly(terms)
 
     __rmul__ = __mul__

@@ -244,7 +244,7 @@ def enumerate_diagrams(
             for p in itertools.permutations(identity)
             if all(shapes[i] == shapes[j] for i, j in enumerate(p))
         ]
-    chosen: dict[tuple, ContractionDiagram] = {}
+    chosen: dict[tuple, tuple[tuple, ContractionDiagram]] = {}  # key -> (sort_key, diagram)
     for pairs in _all_matchings(shapes, options.forbid_self_contraction):
         diagram = ContractionDiagram(shapes, pairs)
         if (
@@ -255,10 +255,11 @@ def enumerate_diagrams(
         if options.require_connected and not diagram.is_connected():
             continue
         key = _canonical_key(pairs, op_perms, options.quotient_by_slot_symmetry)
+        sort_key = diagram.sort_key()
         prev = chosen.get(key)
-        if prev is None or diagram.sort_key() < prev.sort_key():
-            chosen[key] = diagram
-    return sorted(chosen.values(), key=ContractionDiagram.sort_key)
+        if prev is None or sort_key < prev[0]:
+            chosen[key] = (sort_key, diagram)
+    return [diagram for _, diagram in sorted(chosen.values(), key=lambda kd: kd[0])]
 
 
 def classify_by_output(

@@ -3,8 +3,10 @@
 An element is a pair X = X_low + X_high with X_low of type (1,2) and X_high
 of type (2,1).  No binary contraction preserves this space (gradings add to
 -2, 0 or +2, never ±1), but the weighted ternary bracket does: each of its
-twelve alternating words is evaluated as the sum of the two end-to-end chain
-contractions over the word, so the bracket has 24 contraction terms.
+twelve alternating words is the sum of the two end-to-end chain contractions
+over the word, so the bracket is defined by 24 contraction terms.
+`three_commutator` computes them with 12 contractions of one chain per word
+kind; its docstring says why that is the same sum.
 
 Which upper leg of one operand meets which lower leg of the next in the
 doubled chain edge is not determined by the chain's diagram class; that
@@ -15,7 +17,6 @@ the survivors; the canonical convention pairs slots in parallel everywhere.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,52 +148,36 @@ class TernaryWeights:
         return getattr(self, name)
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_diagram(kind: str, direction: str, pairing: str) -> ContractionDiagram:
-    """The end-to-end chain over one alternating word, with explicit slot pairing.
+def _chain(shapes: tuple[TensorShape, ...]) -> ContractionDiagram:
+    """The parallel left-to-right chain: each operand's uppers feed the next
+    operand's lowers in order."""
+    return ContractionDiagram(
+        shapes,
+        frozenset(
+            (SlotRef(i, UPPER, k), SlotRef(i + 1, LOWER, k))
+            for i in range(len(shapes) - 1)
+            for k in range(shapes[i].upper)
+        ),
+    )
 
-    kind HIGH: operands ((2,1),(1,2),(2,1)); LOW: ((1,2),(2,1),(1,2)).
-    direction 'l2r' contracts operand 0 into 1 into 2; 'r2l' the reverse.
-    pairing fixes how the doubled edge matches its two slots.
-    """
-    flip = pairing == CROSSED
-    perm = (1, 0) if flip else (0, 1)
-    if kind == HIGH:
-        shapes = (_HIGH_SHAPE, _LOW_SHAPE, _HIGH_SHAPE)
-        if direction == "l2r":
-            pairs = {
-                (SlotRef(0, UPPER, 0), SlotRef(1, LOWER, perm[0])),
-                (SlotRef(0, UPPER, 1), SlotRef(1, LOWER, perm[1])),
-                (SlotRef(1, UPPER, 0), SlotRef(2, LOWER, 0)),
-            }
-        else:
-            pairs = {
-                (SlotRef(2, UPPER, 0), SlotRef(1, LOWER, perm[0])),
-                (SlotRef(2, UPPER, 1), SlotRef(1, LOWER, perm[1])),
-                (SlotRef(1, UPPER, 0), SlotRef(0, LOWER, 0)),
-            }
-    elif kind == LOW:
-        shapes = (_LOW_SHAPE, _HIGH_SHAPE, _LOW_SHAPE)
-        if direction == "l2r":
-            pairs = {
-                (SlotRef(0, UPPER, 0), SlotRef(1, LOWER, 0)),
-                (SlotRef(1, UPPER, 0), SlotRef(2, LOWER, perm[0])),
-                (SlotRef(1, UPPER, 1), SlotRef(2, LOWER, perm[1])),
-            }
-        else:
-            pairs = {
-                (SlotRef(2, UPPER, 0), SlotRef(1, LOWER, 0)),
-                (SlotRef(1, UPPER, 0), SlotRef(0, LOWER, perm[0])),
-                (SlotRef(1, UPPER, 1), SlotRef(0, LOWER, perm[1])),
-            }
-    else:
-        raise ValueError(f"unknown word kind {kind!r}")
-    return ContractionDiagram(shapes, frozenset(pairs))
+
+# one chain per word kind: HIGH words are (2,1)(1,2)(2,1), LOW words (1,2)(2,1)(1,2)
+_CHAINS = {
+    HIGH: _chain((_HIGH_SHAPE, _LOW_SHAPE, _HIGH_SHAPE)),
+    LOW: _chain((_LOW_SHAPE, _HIGH_SHAPE, _LOW_SHAPE)),
+}
+# word kind -> (outer component, middle component, axes swapping the middle's
+# doubled-edge slots: the lowers of a (1,2) middle, the uppers of a (2,1) one)
+_WORD_PARTS = {HIGH: ("high", "low", (0, 2, 1)), LOW: ("low", "high", (1, 0, 2))}
 
 
 @dataclass(frozen=True)
 class ChainConvention:
-    """Slot pairings for the four chain diagrams (word kind x direction)."""
+    """Slot pairing of the doubled chain edge for each word kind and direction.
+
+    A crossed pairing is the parallel chain with the middle operand's two
+    doubled-edge slots swapped.
+    """
 
     high_l2r: str = PARALLEL
     high_r2l: str = PARALLEL
@@ -204,18 +189,6 @@ class ChainConvention:
             v = getattr(self, name)
             if v not in (PARALLEL, CROSSED):
                 raise ValueError(f"{name} must be {PARALLEL!r} or {CROSSED!r}, got {v!r}")
-
-    def diagrams(self, kind: str) -> tuple[ContractionDiagram, ContractionDiagram]:
-        """The two linear-type schemes used for every word of the given kind."""
-        if kind == HIGH:
-            return (
-                _chain_diagram(HIGH, "l2r", self.high_l2r),
-                _chain_diagram(HIGH, "r2l", self.high_r2l),
-            )
-        return (
-            _chain_diagram(LOW, "l2r", self.low_l2r),
-            _chain_diagram(LOW, "r2l", self.low_r2l),
-        )
 
     def to_json(self) -> dict:
         return {
@@ -258,6 +231,12 @@ def _check_dims(args: tuple[GradedPair, ...]) -> int:
     return dims.pop()
 
 
+def _fold_middle(t: DenseTensor, swap: tuple[int, ...], pairings: tuple[str, str]) -> DenseTensor:
+    """sigma_l2r(t) + sigma_r2l(t); sigma swaps the doubled-edge slots if crossed."""
+    l2r, r2l = (t.data.transpose(swap) if p == CROSSED else t.data for p in pairings)
+    return DenseTensor(t.shape, t.dim, l2r + r2l)
+
+
 def three_commutator(
     x: GradedPair,
     y: GradedPair,
@@ -267,22 +246,32 @@ def three_commutator(
 ) -> GradedPair:
     """The weighted ternary bracket (x, y, z).
 
-    Each of the six high words and six low words is the sum of the two chain
-    evaluations, weighted by which argument occupies the middle position.
+    The bracket is defined by 24 chain terms: each of the six high and six
+    low words (a, b, c) contributes w * (C_l2r(a, b, c) + C_r2l(a, b, c)),
+    weighted by which argument occupies the middle position.  It is computed
+    with 12 contractions.  The right-to-left chain over (a, b, c) is the
+    left-to-right chain over (c, b, a), a crossed pairing is the parallel
+    chain C with the middle's doubled-edge slots swapped (sigma), and
+    BRACKET_WORD_ORDER gives each order and its reverse the same weight.  So
+    the r2l term of one word joins the l2r term of its reverse, and per kind
+
+        sum over orders o of  w(o) * C(a_o, sigma_l2r(b_o) + sigma_r2l(b_o), c_o).
     """
-    dim = _check_dims((x, y, z))
+    _check_dims((x, y, z))
     args = (x, y, z)
-    out = {HIGH: DenseTensor.zeros(_HIGH_SHAPE, dim), LOW: DenseTensor.zeros(_LOW_SHAPE, dim)}
-    for kind in (HIGH, LOW):
-        d_l2r, d_r2l = convention.diagrams(kind)
-        for order, weight_name in BRACKET_WORD_ORDER:
-            w = weights.by_name(weight_name)
-            if kind == HIGH:
-                ops = [args[order[0]].high, args[order[1]].low, args[order[2]].high]
-            else:
-                ops = [args[order[0]].low, args[order[1]].high, args[order[2]].low]
-            value = apply_diagram(d_l2r, ops) + apply_diagram(d_r2l, ops)
-            out[kind] = out[kind] + value * w
+    pairings = {
+        HIGH: (convention.high_l2r, convention.high_r2l),
+        LOW: (convention.low_l2r, convention.low_r2l),
+    }
+    out = {}
+    for kind, (outer, middle, swap) in _WORD_PARTS.items():
+        ends = [getattr(arg, outer) for arg in args]
+        mids = [_fold_middle(getattr(arg, middle), swap, pairings[kind]) for arg in args]
+        terms = [
+            apply_diagram(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * weights.by_name(w)
+            for (i, j, k), w in BRACKET_WORD_ORDER
+        ]
+        out[kind] = sum(terms[1:], terms[0])
     return GradedPair(low=out[LOW], high=out[HIGH])
 
 

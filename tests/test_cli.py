@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import tidlab.cli
 import tidlab.matrixops
 from tidlab.cli import CHECKS, main, parse_seeds, parse_shapes
 from tidlab.tensors import TensorShape
@@ -167,6 +168,29 @@ def test_convention_auto_search(capsys):
         ],
     )
     assert code == 0
+
+
+def test_convention_auto_search_uses_run_grid(capsys, monkeypatch):
+    calls = []
+    real_search = tidlab.cli.convention_search
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return real_search(**kwargs)
+
+    monkeypatch.setattr(tidlab.cli, "convention_search", spy)
+    code, _, err = run(capsys, ["verify", "jacobi", "--seeds=-1", "--convention", "auto-search"])
+    assert code == 2 and err.startswith("error:")
+    assert calls == []  # an invalid run is rejected before any search
+    code, _, _ = run(
+        capsys,
+        [
+            "verify", "cyclic16", "--dim", "2", "--seeds", "3..4", "--tol", "1e-9",
+            "--mode", "numeric", "--convention", "auto-search",
+        ],
+    )
+    assert code == 0
+    assert calls == [{"dim": 2, "seeds": (3, 4), "tolerance": 1e-9}]
 
 
 def test_env_seed_fallback(capsys, monkeypatch):

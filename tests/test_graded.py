@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tidlab.graded import (
+    _CHAINS,
     CANONICAL_CONVENTION,
     CROSSED,
     PARALLEL,
@@ -17,7 +18,7 @@ from tidlab.graded import (
     word_generators,
 )
 from tidlab.tensors import DenseTensor, TensorShape, random_tensor
-from tidlab.words import HIGH, LOW, GradedWord
+from tidlab.words import BRACKET_WORD_ORDER, HIGH, LOW, GradedWord
 
 
 def test_graded_pair_validation():
@@ -48,13 +49,21 @@ def test_canonical_weights_are_cubic_roots():
 
 
 def test_chain_diagrams_are_linear_type():
-    for conv in (CANONICAL_CONVENTION, ChainConvention(CROSSED, CROSSED, CROSSED, CROSSED)):
-        for kind, out_shape in ((HIGH, TensorShape(2, 1)), (LOW, TensorShape(1, 2))):
-            d_l2r, d_r2l = conv.diagrams(kind)
-            for d in (d_l2r, d_r2l):
-                assert d.is_linear_chain()
-                assert d.output_shape == out_shape
-                assert len(d.pairs) == 3
+    assert set(_CHAINS) == {HIGH, LOW}
+    for kind, out_shape in ((HIGH, TensorShape(2, 1)), (LOW, TensorShape(1, 2))):
+        d = _CHAINS[kind]
+        assert d.is_linear_chain()
+        assert d.output_shape == out_shape
+        assert len(d.pairs) == 3
+
+
+def test_bracket_word_order_closed_under_reversal():
+    # three_commutator folds each word's right-to-left chain into the
+    # left-to-right chain of the reversed word, which needs equal weights
+    orders = dict(BRACKET_WORD_ORDER)
+    assert len(orders) == len(BRACKET_WORD_ORDER) == 6
+    for order, wname in BRACKET_WORD_ORDER:
+        assert orders[order[::-1]] == wname
 
 
 def test_convention_validation():
@@ -102,21 +111,15 @@ def oracle_three_commutator(x, y, z, weights, conv):
     return low, high
 
 
-@pytest.mark.parametrize(
-    "conv",
-    [
-        CANONICAL_CONVENTION,
-        ChainConvention(CROSSED, PARALLEL, PARALLEL, CROSSED),
-        ChainConvention(CROSSED, CROSSED, CROSSED, CROSSED),
-    ],
-)
+@pytest.mark.parametrize("conv", ChainConvention.all_conventions())
 def test_three_commutator_matches_independent_oracle(conv):
     w = TernaryWeights.canonical()
-    x, y, z = (random_graded_pair(2, 300 + i) for i in range(3))
-    out = three_commutator(x, y, z, w, conv)
-    low, high = oracle_three_commutator(x, y, z, w, conv)
-    assert np.allclose(out.low.data, low, atol=1e-13)
-    assert np.allclose(out.high.data, high, atol=1e-13)
+    for dim in (2, 3):
+        x, y, z = (random_graded_pair(dim, 300 + i) for i in range(3))
+        out = three_commutator(x, y, z, w, conv)
+        low, high = oracle_three_commutator(x, y, z, w, conv)
+        assert np.allclose(out.low.data, low, atol=1e-13)
+        assert np.allclose(out.high.data, high, atol=1e-13)
 
 
 def test_three_commutator_closure_and_zero():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotRef, enumerate_diagrams
-from tidlab.graded import CROSSED, PARALLEL, _chain_diagram
-from tidlab.words import HIGH as HIGH_WORD, LOW as LOW_WORD
+from tidlab.graded import _CHAINS
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
@@ -249,10 +248,8 @@ def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
 
 
 def test_chain_plans_span_at_most_four_labels():
-    for kind, direction, pairing in itertools.product(
-        (HIGH_WORD, LOW_WORD), ("l2r", "r2l"), (PARALLEL, CROSSED)
-    ):
-        steps, final_subs, out_sub, _ = _einsum_plan(_chain_diagram(kind, direction, pairing))
+    for chain in _CHAINS.values():
+        steps, final_subs, out_sub, _ = _einsum_plan(chain)
         spans = [set(sub_i + sub_j + kept) for _, _, sub_i, sub_j, kept in steps]
         spans.append(set(itertools.chain(out_sub, *final_subs)))
         assert len(steps) == 1
