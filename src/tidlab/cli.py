@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .graded import (
     CANONICAL_CONVENTION,
     ChainConvention,
     TernaryWeights,
+    _trial_pairs,
     convention_search,
     cyclic_residual,
     identity18_residual,
-    random_graded_pair,
 )
 from .matrixops import (
     Phi2Params,
@@ -63,19 +63,24 @@ SUITES = (
     "all",
 )
 _MAT = TensorShape(1, 1)
+WEIGHT_MODES = ("canonical", "random-constrained")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings shared by every verification check."""
+    """Every setting of one verification run.
+
+    `weights` is a mode from WEIGHT_MODES or an explicit (a, b, g) triple;
+    `params` are the jacobi row's product coefficients.
+    """
 
     dim: int = 3
     seeds: tuple[int, ...] = tuple(range(1, 11))
     tolerance_rel: float = 1e-10
-    weights_mode: str = "canonical"
-    explicit_weights: Optional[tuple[complex, complex, complex]] = None
+    weights: Union[str, tuple[complex, complex, complex]] = "canonical"
     mode: str = "both"
     convention: ChainConvention = CANONICAL_CONVENTION
+    params: Phi2Params = Phi2Params()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance_rel) and self.tolerance_rel > 0):
@@ -86,30 +91,31 @@ class RunConfig:
             raise ValueError("dim must be >= 1")
         if self.mode not in ("numeric", "symbolic", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if isinstance(self.weights, str) and self.weights not in WEIGHT_MODES:
+            raise ValueError(f"unknown weights mode {self.weights!r}")
+
+    def weights_name(self) -> str:
+        """The weights as reports name them: the mode, or "explicit" for a triple."""
+        return self.weights if isinstance(self.weights, str) else "explicit"
 
     def ternary_weights(self, seed: int) -> TernaryWeights:
-        if self.weights_mode == "canonical":
+        if self.weights == "canonical":
             return TernaryWeights.canonical()
-        if self.weights_mode == "random-constrained":
+        if self.weights == "random-constrained":
             return TernaryWeights.random_zero_sum(seed)
-        if self.weights_mode == "explicit":
-            a, b, g = self.explicit_weights
-            return TernaryWeights(a, b, g)
-        raise ValueError(f"unknown weights mode {self.weights_mode!r}")
+        return TernaryWeights(*self.weights)
 
     def to_json(self) -> dict:
         obj = {
             "dim": self.dim,
             "seeds": list(self.seeds),
             "tolerance_rel": self.tolerance_rel,
-            "weights": self.weights_mode,
+            "weights": self.weights_name(),
             "mode": self.mode,
             "convention": self.convention.to_json(),
         }
-        if self.explicit_weights is not None:
-            obj["explicit_weights"] = [
-                [w.real, w.imag] for w in self.explicit_weights
-            ]
+        if not isinstance(self.weights, str):
+            obj["explicit_weights"] = [[w.real, w.imag] for w in self.weights]
         return obj
 
 
@@ -157,40 +163,36 @@ def _mats(cfg: RunConfig, seed: int, n: int) -> list:
     return [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(n)]
 
 
-def _pairs(cfg: RunConfig, seed: int, n: int) -> list:
-    return [random_graded_pair(cfg.dim, seed * 10 + i) for i in range(n)]
-
-
-def _jacobi_numeric(cfg: RunConfig, params: Phi2Params, seed: int) -> Iterator[tuple]:
+def _jacobi_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
     mats = _mats(cfg, seed, 3)
-    yield jacobi_cyclic_residual(*mats, params), mats
+    yield jacobi_cyclic_residual(*mats, cfg.params), mats
 
 
-def _identity6_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+def _identity6_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
     mats = _mats(cfg, seed, 4)
     for params in (Phi2Params.traced_commutator(), _rand_params(seed)):
         yield identity6_residual(*mats, params), mats
 
 
-def _phi4_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+def _phi4_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
     mats = _mats(cfg, seed, 4)
     for k in range(5):
         yield phi4(*mats, _rand_params(seed * 1000 + k)), mats
 
 
-def _appendix1_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
+def _appendix1_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
     mats = _mats(cfg, seed, 3)
     res = jacobi_cyclic_residual(*mats, Phi2Params.traced_commutator()) - closed_remainder(*mats)
     yield res, mats
 
 
-def _cyclic16_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
-    vals = _pairs(cfg, seed, 3)
+def _cyclic16_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
+    vals = _trial_pairs(cfg.dim, seed, 3)
     yield cyclic_residual(*vals, cfg.ternary_weights(seed), cfg.convention), vals
 
 
-def _identity18_numeric(cfg: RunConfig, _: Phi2Params, seed: int) -> Iterator[tuple]:
-    vals = _pairs(cfg, seed, 5)
+def _identity18_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
+    vals = _trial_pairs(cfg.dim, seed, 5)
     yield identity18_residual(*vals, cfg.ternary_weights(seed), cfg.convention), vals
 
 
@@ -240,8 +242,8 @@ def _cplx(d: dict) -> dict:
     return {k: [v.real, v.imag] for k, v in d.items()}
 
 
-def _ternary_params(cfg: RunConfig, _: Phi2Params) -> dict:
-    return {"dim": cfg.dim, "weights": cfg.weights_mode, "convention": cfg.convention.label()}
+def _ternary_params(cfg: RunConfig) -> dict:
+    return {"dim": cfg.dim, "weights": cfg.weights_name(), "convention": cfg.convention.label()}
 
 
 _CONSTRAINED = {"params": "beta=-alpha, delta=-gamma"}
@@ -260,44 +262,44 @@ class Check:
     suites: tuple[str, ...]
     kind: str  # "numeric" or "symbolic"
     body: Callable
-    params: Callable[[RunConfig, Phi2Params], dict]
+    params: Callable[[RunConfig], dict]
 
     def selected(self, suite: str, mode: str) -> bool:
         # the appendix2 suite is exact by nature and runs in every mode
         in_mode = mode in (self.kind, "both") or suite == "appendix2"
         return in_mode and suite in (*self.suites, "all")
 
-    def run(self, cfg: RunConfig, jacobi_params: Phi2Params) -> CheckReport:
+    def run(self, cfg: RunConfig) -> CheckReport:
         start = time.perf_counter()
         residual = digest = None
         if self.kind == "numeric":
-            residual = worst_residual(t for seed in cfg.seeds for t in self.body(cfg, jacobi_params, seed))
+            residual = worst_residual(t for seed in cfg.seeds for t in self.body(cfg, seed))
             passed = residual <= cfg.tolerance_rel
             if not math.isfinite(residual):
                 digest = "non-finite residual"
         else:
             passed, digest = self.body()
         elapsed = time.perf_counter() - start
-        return CheckReport(self.name, self.params(cfg, jacobi_params), passed, residual, digest, elapsed)
+        return CheckReport(self.name, self.params(cfg), passed, residual, digest, elapsed)
 
 
 CHECKS = (
     Check("jacobi/numeric", ("jacobi",), "numeric", _jacobi_numeric,
-          lambda cfg, p: {"dim": cfg.dim, **_cplx(p.as_dict())}),
-    Check("identity6/numeric", ("identity6",), "numeric", _identity6_numeric, lambda cfg, p: {"dim": cfg.dim}),
-    Check("identity6/symbolic", ("identity6",), "symbolic", _identity6_symbolic, lambda cfg, p: _CONSTRAINED),
+          lambda cfg: {"dim": cfg.dim, **_cplx(cfg.params.as_dict())}),
+    Check("identity6/numeric", ("identity6",), "numeric", _identity6_numeric, lambda cfg: {"dim": cfg.dim}),
+    Check("identity6/symbolic", ("identity6",), "symbolic", _identity6_symbolic, lambda cfg: _CONSTRAINED),
     Check("phi4/numeric", ("phi4",), "numeric", _phi4_numeric,
-          lambda cfg, p: {"dim": cfg.dim, "param_draws": 5}),
-    Check("phi4/symbolic", ("phi4",), "symbolic", _phi4_symbolic, lambda cfg, p: _CONSTRAINED),
+          lambda cfg: {"dim": cfg.dim, "param_draws": 5}),
+    Check("phi4/symbolic", ("phi4",), "symbolic", _phi4_symbolic, lambda cfg: _CONSTRAINED),
     Check("appendix1/numeric", ("appendix1",), "numeric", _appendix1_numeric,
-          lambda cfg, p: {"dim": cfg.dim, "params": "(1,-1,1,-1)"}),
-    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic, lambda cfg, p: {}),
+          lambda cfg: {"dim": cfg.dim, "params": "(1,-1,1,-1)"}),
+    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic, lambda cfg: {}),
     Check("cyclic16/numeric", ("cyclic16",), "numeric", _cyclic16_numeric, _ternary_params),
-    Check("cyclic16/symbolic", ("cyclic16",), "symbolic", _cyclic16_symbolic, lambda cfg, p: {}),
+    Check("cyclic16/symbolic", ("cyclic16",), "symbolic", _cyclic16_symbolic, lambda cfg: {}),
     Check("identity18/numeric", ("identity18",), "numeric", _identity18_numeric, _ternary_params),
     # the word statistics back both identity18's symbolic mode and the appendix2 suite
     Check("appendix2/exact", ("identity18", "appendix2"), "symbolic", _appendix2_exact,
-          lambda cfg, p: {"weights": "(1,w,w^2)"}),
+          lambda cfg: {"weights": "(1,w,w^2)"}),
 )
 
 
@@ -330,7 +332,7 @@ def parse_shapes(text: str) -> tuple[TensorShape, ...]:
 
 
 def default_seeds(args_seeds: Optional[str]) -> tuple[int, ...]:
-    if args_seeds:
+    if args_seeds is not None:
         return parse_seeds(args_seeds)
     env = os.environ.get("TIDLAB_SEED")
     if env:
@@ -371,12 +373,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             dim=args.dim,
             seeds=default_seeds(args.seeds),
             tolerance_rel=args.tol,
-            weights_mode=args.weights if args.weights in ("canonical", "random-constrained") else "explicit",
-            explicit_weights=_parse_weights(args.weights),
+            weights=_parse_weights(args.weights),
             mode=args.mode,
-        )
-        jacobi_params = Phi2Params(
-            complex(args.alpha), complex(args.beta), complex(args.gamma), complex(args.delta)
+            params=Phi2Params(
+                complex(args.alpha), complex(args.beta), complex(args.gamma), complex(args.delta)
+            ),
         )
         selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
         if not selected:
@@ -386,7 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = [c.run(cfg, jacobi_params) for c in selected]
+    reports = [c.run(cfg) for c in selected]
     reports.sort(key=lambda r: r.name)
     all_pass = all(r.passed for r in reports)
     if args.json:
@@ -407,9 +408,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _parse_weights(text: str) -> Optional[tuple[complex, complex, complex]]:
-    if text in ("canonical", "random-constrained"):
-        return None
+def _parse_weights(text: str) -> Union[str, tuple[complex, complex, complex]]:
+    if text in WEIGHT_MODES:
+        return text
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(
@@ -423,7 +424,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         shapes = parse_shapes(args.shapes)
         out_shape = None
-        if args.out:
+        if args.out is not None:
             (out_shape,) = parse_shapes(args.out)
         options = EnumOptions(
             forbid_self_contraction=args.no_self,
@@ -488,7 +489,7 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
             for t in trials
         ],
     }
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(descriptor, fh, indent=2, allow_nan=False)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -112,6 +113,11 @@ def random_graded_pair(dim: int, seed: int) -> GradedPair:
     return GradedPair(_random_draw(rng, _LOW_SHAPE, dim), _random_draw(rng, _HIGH_SHAPE, dim))
 
 
+def _trial_pairs(dim: int, seed: int, n: int) -> list[GradedPair]:
+    """The n operands of one seed's trial, shared by the search and the ternary checks."""
+    return [random_graded_pair(dim, seed * 10 + i) for i in range(n)]
+
+
 @dataclass(frozen=True)
 class TernaryWeights:
     """Bracket weights (alpha, beta, gamma); the identities need alpha+beta+gamma = 0."""
@@ -176,7 +182,8 @@ class ChainConvention:
     """Slot pairing of the doubled chain edge for each word kind and direction.
 
     A crossed pairing is the parallel chain with the middle operand's two
-    doubled-edge slots swapped.
+    doubled-edge slots swapped.  The fields run high then low, l2r then r2l;
+    descriptors and labels list the pairings in this field order.
     """
 
     high_l2r: str = PARALLEL
@@ -185,50 +192,27 @@ class ChainConvention:
     low_r2l: str = PARALLEL
 
     def __post_init__(self) -> None:
-        for name in ("high_l2r", "high_r2l", "low_l2r", "low_r2l"):
-            v = getattr(self, name)
+        for name, v in asdict(self).items():
             if v not in (PARALLEL, CROSSED):
                 raise ValueError(f"{name} must be {PARALLEL!r} or {CROSSED!r}, got {v!r}")
 
     def to_json(self) -> dict:
-        return {
-            "high_l2r": self.high_l2r,
-            "high_r2l": self.high_r2l,
-            "low_l2r": self.low_l2r,
-            "low_r2l": self.low_r2l,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainConvention":
-        return cls(
-            high_l2r=obj["high_l2r"],
-            high_r2l=obj["high_r2l"],
-            low_l2r=obj["low_l2r"],
-            low_r2l=obj["low_r2l"],
-        )
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
     @classmethod
     def all_conventions(cls) -> list["ChainConvention"]:
-        out = []
-        for bits in itertools.product((PARALLEL, CROSSED), repeat=4):
-            out.append(cls(*bits))
-        return out
+        return [cls(*bits) for bits in itertools.product((PARALLEL, CROSSED), repeat=len(fields(cls)))]
 
     def label(self) -> str:
         short = {PARALLEL: "p", CROSSED: "x"}
-        return "".join(
-            short[v] for v in (self.high_l2r, self.high_r2l, self.low_l2r, self.low_r2l)
-        )
+        return "".join(short[v] for v in astuple(self))
 
 
 CANONICAL_CONVENTION = ChainConvention()
-
-
-def _check_dims(args: tuple[GradedPair, ...]) -> int:
-    dims = {x.dim for x in args}
-    if len(dims) != 1:
-        raise ValueError(f"arguments have mixed dimensions: {sorted(dims)}")
-    return dims.pop()
 
 
 def _fold_middle(t: DenseTensor, swap: tuple[int, ...], pairings: tuple[str, str]) -> DenseTensor:
@@ -257,12 +241,9 @@ def three_commutator(
 
         sum over orders o of  w(o) * C(a_o, sigma_l2r(b_o) + sigma_r2l(b_o), c_o).
     """
-    _check_dims((x, y, z))
     args = (x, y, z)
-    pairings = {
-        HIGH: (convention.high_l2r, convention.high_r2l),
-        LOW: (convention.low_l2r, convention.low_r2l),
-    }
+    v = astuple(convention)  # field order: high (l2r, r2l), then low (l2r, r2l)
+    pairings = {HIGH: v[:2], LOW: v[2:]}
     out = {}
     for kind, (outer, middle, swap) in _WORD_PARTS.items():
         ends = [getattr(arg, outer) for arg in args]
@@ -304,14 +285,10 @@ def identity18_residual(
     Terms are accumulated sequentially in printed order so runs are
     bit-reproducible.
     """
-    vals = {"A": a, "B": b, "C": c, "D": d, "E": e}
-    dim = _check_dims((a, b, c, d, e))
-    total = GradedPair.zeros(dim)
-    for term in IDENTITY18_TERMS:
-        p, q, r, s, t = (vals[ch] for ch in term)
-        inner = three_commutator(p, q, r, weights, convention)
-        total = total + three_commutator(inner, s, t, weights, convention)
-    return total
+    v = {"A": a, "B": b, "C": c, "D": d, "E": e}
+    bracket = partial(three_commutator, weights=weights, convention=convention)
+    terms = [bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in IDENTITY18_TERMS]
+    return sum(terms[1:], terms[0])
 
 
 def word_generators(word: GradedWord) -> list[tuple[str, ...]]:
@@ -345,19 +322,20 @@ class ConventionTrial:
 def convention_search(
     dim: int = 2,
     seeds: tuple[int, ...] = (1, 2),
-    weights: TernaryWeights | None = None,
     tolerance: float = 1e-10,
 ) -> tuple[list[ConventionTrial], list[ChainConvention]]:
     """Measure every chain pairing convention against both graded identities.
 
     Returns all trials (deterministic order) and the surviving conventions.
+    Each seed's operands and the canonical weights are those the
+    `cyclic16` and `identity18` checks of a verify run with the same dim and
+    seeds evaluate, so a trial's residuals are the ones those checks report.
     The cyclic identity is insensitive to the pairing choice (every word is
     evaluated the same way wherever it appears), so the twenty-term identity
     is the discriminating test; mismatched pairings fail it by O(1).
     """
-    if weights is None:
-        weights = TernaryWeights.canonical()
-    draws = [[random_graded_pair(dim, seed * 100 + i) for i in range(5)] for seed in seeds]
+    weights = TernaryWeights.canonical()
+    draws = [_trial_pairs(dim, seed, 5) for seed in seeds]
     trials = []
     survivors = []
     for conv in ChainConvention.all_conventions():

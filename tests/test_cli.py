@@ -5,7 +5,8 @@ import pytest
 
 import tidlab.cli
 import tidlab.matrixops
-from tidlab.cli import CHECKS, main, parse_seeds, parse_shapes
+from tidlab.cli import CHECKS, RunConfig, main, parse_seeds, parse_shapes
+from tidlab.graded import convention_search
 from tidlab.tensors import TensorShape
 
 
@@ -287,3 +288,53 @@ _SELECTED = {
 @pytest.mark.parametrize("suite, mode", sorted(_SELECTED))
 def test_check_table_selection(suite, mode):
     assert sorted(c.name for c in CHECKS if c.selected(suite, mode)) == _SELECTED[suite, mode]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "jacobi", "--seeds", ""],
+        ["verify", "jacobi", "--seeds", "", "--json"],
+        ["enumerate", "(1,1)", "--out", ""],
+        ["convention-search", "--seeds", "1", "--out", ""],
+    ],
+)
+def test_explicitly_empty_value_usage_error(capsys, monkeypatch, argv):
+    # the TIDLAB_SEED fallback applies only when --seeds is absent
+    monkeypatch.setenv("TIDLAB_SEED", "3")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_run_config_weights(capsys):
+    with pytest.raises(ValueError, match="unknown weights mode"):
+        RunConfig(weights="bogus")
+    code, out, _ = run(
+        capsys,
+        ["verify", "cyclic16", "--dim", "2", "--seeds", "1", "--mode", "numeric",
+         "--weights", "1j,2,-2-1j", "--json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["weights"] == "explicit"
+    assert payload["config"]["explicit_weights"] == [[0.0, 1.0], [2.0, 0.0], [-2.0, -1.0]]
+    assert payload["checks"][0]["params"]["weights"] == "explicit"
+
+
+def test_convention_search_trials_equal_verify_rows(tmp_path, capsys):
+    """The search evaluates exactly the operands the cyclic16 and identity18 rows verify."""
+    trials, _ = convention_search(dim=2, seeds=(1, 2))
+    assert len(trials) == 16
+    for trial in trials:
+        path = tmp_path / f"{trial.convention.label()}.json"
+        path.write_text(json.dumps({"pairings": trial.convention.to_json()}))
+        for suite, residual in (("identity18", trial.identity18_max), ("cyclic16", trial.cyclic_max)):
+            _, out, _ = run(
+                capsys,
+                ["verify", suite, "--mode", "numeric", "--dim", "2", "--seeds", "1,2",
+                 "--convention", str(path), "--json"],
+            )
+            (check,) = json.loads(out)["checks"]
+            assert check["residual"] == residual, (trial.convention.label(), suite)

@@ -216,6 +216,18 @@ def test_identity18_needs_both_symmetric_sums_zero():
     assert graded_relative_residual(res, vals) / abs(t) ** 4 < 1e-9
 
 
+def test_mixed_dimensions_rejected():
+    x, y, z, d = (random_graded_pair(2, seed) for seed in range(4))
+    odd = random_graded_pair(3, 9)
+    w = TernaryWeights.canonical()
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        three_commutator(x, y, odd, w)
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        cyclic_residual(x, odd, z, w)
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        identity18_residual(x, y, z, d, odd, w)
+
+
 def test_convention_search_survivors():
     trials, survivors = convention_search(dim=2, seeds=(1,))
     assert len(trials) == 16
