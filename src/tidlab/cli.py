@@ -355,7 +355,10 @@ def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
     if not isinstance(pairings, dict):
         # convention-search writes null pairings when no convention survives
         raise ValueError(f"{source}: descriptor has no pairings")
-    return ChainConvention.from_json(pairings)
+    try:
+        return ChainConvention.from_json(pairings)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _emit_json(obj: dict) -> None:
@@ -384,7 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"suite {args.suite!r} has no {cfg.mode} checks")
         # last: auto-search is slow and runs on the validated grid
         cfg = replace(cfg, convention=load_convention(args.convention, cfg))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = [c.run(cfg) for c in selected]
@@ -425,7 +428,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         shapes = parse_shapes(args.shapes)
         out_shape = None
         if args.out is not None:
-            (out_shape,) = parse_shapes(args.out)
+            out_shapes = parse_shapes(args.out)
+            if len(out_shapes) != 1:
+                raise ValueError(f"--out takes one shape like '(2,1)', got {args.out!r}")
+            (out_shape,) = out_shapes
         options = EnumOptions(
             forbid_self_contraction=args.no_self,
             quotient_by_slot_symmetry=args.quotient_slots or args.unordered,

@@ -4,7 +4,8 @@ CycloScalar holds a + b*w with rational a, b and the reduction rule
 w^2 = -1 - w (so w^3 = 1 and 1 + w + w^2 = 0).  WeightPoly is a commutative
 polynomial in the four weight indeterminates (alpha, beta, gamma, delta)
 with CycloScalar coefficients; it carries every symbolic expansion in the
-package, so no float ever enters an exact path.
+package.  Constants are exact (int, Fraction or CycloScalar) and a float
+raises TypeError, so no float ever enters an exact path.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,14 +124,7 @@ class CycloScalar:
     def __pow__(self, n: int) -> "CycloScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycloScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, CycloScalar.one())
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -174,9 +179,7 @@ class WeightPoly:
 
     @classmethod
     def constant(cls, c) -> "WeightPoly":
-        if isinstance(c, (int, Fraction)):
-            c = CycloScalar(c, 0)
-        return cls({_ZERO_MONO: c})
+        return cls({_ZERO_MONO: c if isinstance(c, CycloScalar) else CycloScalar(c)})
 
     @classmethod
     def one(cls) -> "WeightPoly":
@@ -193,9 +196,7 @@ class WeightPoly:
     def _coerce(x) -> "WeightPoly":
         if isinstance(x, WeightPoly):
             return x
-        if isinstance(x, CycloScalar):
-            return WeightPoly.constant(x)
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (CycloScalar, int, Fraction)):
             return WeightPoly.constant(x)
         return NotImplemented
 
@@ -240,14 +241,7 @@ class WeightPoly:
     def __pow__(self, n: int) -> "WeightPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = WeightPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, WeightPoly.one())
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

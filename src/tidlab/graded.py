@@ -201,7 +201,12 @@ class ChainConvention:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainConvention":
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        problems = [f"missing {n}" for n in names if n not in obj]
+        problems += [f"unknown {k}" for k in obj if k not in names]
+        if problems:
+            raise ValueError(f"pairings: {', '.join(problems)}")
+        return cls(**obj)
 
     @classmethod
     def all_conventions(cls) -> list["ChainConvention"]:

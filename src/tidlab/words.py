@@ -5,12 +5,16 @@ matrix symbols with scalar trace factors (trace factors are cyclically
 normalized).  GradedWord is the normal form for alternating words over the
 (2,1)/(1,2) component symbols.  FormalSum carries either word type with
 WeightPoly coefficients, so identities can be verified for symbolic weights
-and then evaluated exactly at the cube roots of unity.
+and then evaluated exactly at the cube roots of unity.  Coefficients are
+exact (int, Fraction, CycloScalar or WeightPoly); a float raises TypeError.
+The twenty-term instances are built from the one bracket's twelve words.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -53,9 +57,7 @@ Coeff = Union[WeightPoly, CycloScalar, int, Fraction]
 
 
 def _as_poly(c: Coeff) -> WeightPoly:
-    if isinstance(c, WeightPoly):
-        return c
-    return WeightPoly.constant(c if isinstance(c, (CycloScalar,)) else Fraction(c))
+    return c if isinstance(c, WeightPoly) else WeightPoly.constant(c)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +114,6 @@ HIGH = "high"  # word type with (2,1) components at even (0-based) positions
 LOW = "low"  # word type with (1,2) components at even (0-based) positions
 
 
-def _flip(kind: str) -> str:
-    return LOW if kind == HIGH else HIGH
-
-
 @dataclass(frozen=True, order=True)
 class GradedWord:
     """Alternating word over component symbols; `kind` is the whole word's type.
@@ -137,7 +135,7 @@ class GradedWord:
         object.__setattr__(self, "kind", kind)
 
     def position_kind(self, i: int) -> str:
-        return self.kind if i % 2 == 0 else _flip(self.kind)
+        return self.kind if i % 2 == 0 else (LOW if self.kind == HIGH else HIGH)
 
     def __str__(self) -> str:
         return f"{''.join(self.symbols)}:{self.kind}"
@@ -389,6 +387,14 @@ def _bracket_weights(weights) -> dict[str, WeightPoly]:
     return {"alpha": _as_poly(wa), "beta": _as_poly(wb), "gamma": _as_poly(wg)}
 
 
+def _bracket_words(args: Sequence[str]):
+    """The bracket's twelve words over args: (symbols, kind, weight name)."""
+    for order, wname in BRACKET_WORD_ORDER:
+        symbols = tuple(args[i] for i in order)
+        for kind in (HIGH, LOW):
+            yield symbols, kind, wname
+
+
 def expand_three_commutator_symbolic(
     x: str, y: str, z: str, weights=None
 ) -> FormalSum:
@@ -397,12 +403,10 @@ def expand_three_commutator_symbolic(
     Contraction schemes live below word resolution and are excluded here.
     """
     table = _bracket_weights(weights)
-    args = (x, y, z)
     terms: dict = {}
-    for order, wname in BRACKET_WORD_ORDER:
-        for kind in (HIGH, LOW):
-            word = GradedWord(tuple(args[i] for i in order), kind)
-            terms[word] = terms.get(word, WeightPoly.zero()) + table[wname]
+    for symbols, kind, wname in _bracket_words((x, y, z)):
+        word = GradedWord(symbols, kind)
+        terms[word] = terms.get(word, WeightPoly.zero()) + table[wname]
     return FormalSum(terms)
 
 
@@ -427,38 +431,19 @@ class WordInstance:
 
 def expand_identity18_instances() -> list[WordInstance]:
     """All weighted word occurrences of the twenty nested-bracket terms."""
+    weight = _bracket_weights(None)
     instances: list[WordInstance] = []
     for term in IDENTITY18_TERMS:
-        p, q, r, s, t = term
-        inner_words: list[tuple[tuple[str, str, str], str, WeightPoly]] = []
-        for order, wname in BRACKET_WORD_ORDER:
-            word3 = tuple((p, q, r)[i] for i in order)
-            for kind in (HIGH, LOW):
-                inner_words.append((word3, kind, WeightPoly.variable(wname)))
-        # outer bracket on (w, s, t); w is the inner result
-        outer_args = ("w", s, t)
-        for order, wname in BRACKET_WORD_ORDER:
-            outer = tuple(outer_args[i] for i in order)
-            w_outer = WeightPoly.variable(wname)
-            for kind in (HIGH, LOW):
-                pos = outer.index("w")
-                need = kind if pos % 2 == 0 else _flip(kind)
-                for word3, k3, w_inner in inner_words:
-                    if k3 != need:
-                        continue
-                    symbols = tuple(
-                        itertools.chain.from_iterable(
-                            word3 if sym == "w" else (sym,) for sym in outer
-                        )
-                    )
-                    instances.append(
-                        WordInstance(
-                            word=GradedWord(symbols, kind),
-                            weight=w_inner * w_outer,
-                            term=term,
-                            inner=word3,
-                        )
-                    )
+        inner_words = list(_bracket_words(term[:3]))
+        # outer bracket on (w, S, T): w takes each inner word of the kind at its position
+        for outer, kind, outer_name in _bracket_words(("w",) + tuple(term[3:])):
+            pos = outer.index("w")
+            need = GradedWord(outer, kind).position_kind(pos)
+            for inner, inner_kind, inner_name in inner_words:
+                if inner_kind == need:
+                    word = GradedWord(outer[:pos] + inner + outer[pos + 1 :], kind)
+                    product = weight[inner_name] * weight[outer_name]
+                    instances.append(WordInstance(word, product, term, inner))
     return instances
 
 
@@ -466,16 +451,25 @@ def _weight_class_polys() -> dict[str, WeightPoly]:
     a = WeightPoly.variable("alpha")
     b = WeightPoly.variable("beta")
     g = WeightPoly.variable("gamma")
-    two = WeightPoly.constant(2)
     return {
-        "Eq1": two * (b * g + g * a + a * b),
+        "Eq1": 2 * (b * g + g * a + a * b),
         "Eq2": g * g + g * a + g * b + b * b + b * a + b * g,
         "Eq3": g * g + b * b + a * a + g * a + g * b + b * a,
-        "Eq4": two * (a * a + a * b + a * g),
+        "Eq4": 2 * (a * a + a * b + a * g),
     }
 
 
 WEIGHT_CLASS_POLYS = _weight_class_polys()
+
+
+def _word_class(w: GradedWord) -> frozenset:
+    """A five-symbol word's class key: the symbol pair in positions 2 and 4."""
+    return frozenset((w.symbols[1], w.symbols[3]))
+
+
+def _equation_of(total: WeightPoly) -> str | None:
+    """The name of the class polynomial equal to total, or None."""
+    return next((name for name, eq in WEIGHT_CLASS_POLYS.items() if eq == total), None)
 
 
 def canonical_cubic_weights() -> tuple[CycloScalar, CycloScalar, CycloScalar]:
@@ -575,32 +569,23 @@ def verify_identity18_symbolic(weights="symbolic") -> Identity18Report:
     if bad_occ:
         failures.append(f"{len(bad_occ)} words with occurrence count != 6")
 
-    classes: dict[tuple[str, frozenset], tuple[GradedWord, ...]] = {}
+    buckets: dict[tuple[str, frozenset], list[GradedWord]] = {}
+    for w in occurrences:
+        buckets.setdefault((w.kind, _word_class(w)), []).append(w)
+    classes = {key: tuple(sorted(words)) for key, words in buckets.items()}
     for kind in (HIGH, LOW):
-        buckets: dict[frozenset, list[GradedWord]] = {}
-        for w in occurrences:
-            if w.kind != kind:
-                continue
-            buckets.setdefault(frozenset((w.symbols[1], w.symbols[3])), []).append(w)
-        for pair, words in buckets.items():
-            classes[(kind, pair)] = tuple(sorted(words))
-        if len(buckets) != 10 or any(len(v) != 12 for v in buckets.values()):
-            failures.append(
-                f"{kind}: class structure "
-                f"{sorted(len(v) for v in buckets.values())} != 10 x 12"
-            )
+        sizes = sorted(len(v) for (k, _), v in classes.items() if k == kind)
+        if sizes != [12] * 10:
+            failures.append(f"{kind}: class structure {sizes} != 10 x 12")
 
     word_equation: dict[GradedWord, str] = {}
     for w, poly in totals.items():
-        for name, eq in WEIGHT_CLASS_POLYS.items():
-            if poly == eq:
-                word_equation[w] = name
-                break
-        else:
+        name = _equation_of(poly)
+        if name is None:
             failures.append(f"word {w} total {poly} matches no class polynomial")
-    equation_counts: dict[str, int] = {}
-    for name in word_equation.values():
-        equation_counts[name] = equation_counts.get(name, 0) + 1
+        else:
+            word_equation[w] = name
+    equation_counts = dict(Counter(word_equation.values()))
 
     assignment = dict(zip(("alpha", "beta", "gamma"), cyclo_weights))
     equation_values = {
@@ -611,10 +596,10 @@ def verify_identity18_symbolic(weights="symbolic") -> Identity18Report:
         if not val.is_zero():
             failures.append(f"{name} nonzero at weights {tuple(map(str, cyclo_weights))}: {val}")
 
-    ideal_cofactors = {}
-    for name, eq in WEIGHT_CLASS_POLYS.items():
-        c1, c2, rem = symmetric_ideal_membership(eq)
-        ideal_cofactors[name] = (c1, c2, rem)
+    ideal_cofactors = {
+        name: symmetric_ideal_membership(eq) for name, eq in WEIGHT_CLASS_POLYS.items()
+    }
+    for name, (_, _, rem) in ideal_cofactors.items():
         if not rem.is_zero():
             failures.append(f"{name} not in the symmetric ideal: remainder {rem}")
 
@@ -659,7 +644,7 @@ def build_class_table(
     rows: dict[str, dict] = {}
     for inst in instances:
         w = inst.word
-        if w.kind != kind or frozenset((w.symbols[1], w.symbols[3])) != pair:
+        if w.kind != kind or _word_class(w) != pair:
             continue
         label = "".join(w.symbols)
         row = rows.setdefault(label, {"cells": {}, "total": WeightPoly.zero()})
@@ -671,16 +656,13 @@ def build_class_table(
     table_rows = []
     for label in sorted(rows):
         row = rows[label]
-        equation = next(
-            (n for n, eq in WEIGHT_CLASS_POLYS.items() if eq == row["total"]), None
-        )
         table_rows.append(
             {
                 "word": label,
                 "generators": sorted(row["cells"]),
                 "cells": {s: row["cells"].get(s, []) for s in subsets},
                 "total": str(row["total"]),
-                "equation": equation,
+                "equation": _equation_of(row["total"]),
             }
         )
     return {
@@ -708,16 +690,15 @@ def evaluate_trace_sum(
     trace factors become scalar traces.
     """
     n = next(iter(matrices.values())).shape[0]
+    eye = np.eye(n, dtype=complex)
+
+    def product(symbols) -> np.ndarray:
+        return functools.reduce(lambda acc, s: acc @ matrices[s], symbols, eye)
+
     total = np.zeros((n, n), dtype=complex)
     for word, coeff in fs.terms.items():
-        value = np.eye(n, dtype=complex)
-        for s in word.main:
-            value = value @ matrices[s]
         scalar = coeff.evaluate(params)
         for factor in word.traces:
-            prod = np.eye(n, dtype=complex)
-            for s in factor:
-                prod = prod @ matrices[s]
-            scalar *= np.trace(prod)
-        total += scalar * value
+            scalar *= np.trace(product(factor))
+        total += scalar * product(word.main)
     return total

@@ -338,3 +338,30 @@ def test_convention_search_trials_equal_verify_rows(tmp_path, capsys):
             )
             (check,) = json.loads(out)["checks"]
             assert check["residual"] == residual, (trial.convention.label(), suite)
+
+
+def test_verify_incomplete_descriptor_usage_error(tmp_path, capsys):
+    path = tmp_path / "convention.json"
+    path.write_text(json.dumps({"schema": "tidlab/1", "pairings": {"high_l2r": "parallel"}}))
+    code, out, err = run(capsys, ["verify", "cyclic16", "--convention", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err and "high_r2l" in err
+
+
+def test_verify_descriptor_unknown_pairing_usage_error(tmp_path, capsys):
+    pairings = {"high_l2r": "parallel", "high_r2l": "parallel", "low_l2r": "parallel",
+                "low_r2l": "parallel", "middle": "crossed"}
+    path = tmp_path / "convention.json"
+    path.write_text(json.dumps({"schema": "tidlab/1", "pairings": pairings}))
+    code, out, err = run(capsys, ["verify", "cyclic16", "--convention", str(path)])
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "unknown middle" in err
+
+
+def test_enumerate_out_takes_one_shape(capsys):
+    code, out, err = run(capsys, ["enumerate", "(1,1)x(1,1)", "--out", "(1,1)x(1,1)"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--out takes one shape" in err

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,3 +319,75 @@ def test_report_json_with_word_tables():
     import json
 
     json.dumps(obj)  # everything serializes
+
+
+# -- exact coefficients --------------------------------------------------------
+
+
+def test_exact_coefficients_reject_floats():
+    w = TraceWord(("A",))
+    with pytest.raises(TypeError):
+        FormalSum.from_word(w, 0.1)
+    with pytest.raises(TypeError):
+        symbol_word("A") * 0.5
+    with pytest.raises(TypeError):
+        FormalSum({w: "1/2"})
+    half = Fraction(1, 2)
+    for c in (3, half, CycloScalar(half, 1)):
+        assert FormalSum.from_word(w, c).coefficient(w) == WeightPoly.constant(c)
+    assert (symbol_word("A") * half).coefficient(w) == WeightPoly.constant(half)
+
+
+# -- golden digests of the exact route ----------------------------------------
+
+
+def _digest(obj) -> str:
+    """sha256 (first 16 hex digits) of the sorted-key JSON of obj."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# the (word, weight, term, inner window) sequence of all 1440 instances, in order
+INSTANCE_SEQUENCE_DIGEST = "2e87cc8bd5d6c788"
+IDENTITY18_WORDS_DIGEST = "49b1a925d3019923"
+CLASS_TABLE_DIGESTS = {
+    ("AB", HIGH): "8da5d5cb33587e14",
+    ("AC", HIGH): "6bda0ebaf2aa60de",
+    ("AD", HIGH): "9b99962e318ed87c",
+    ("AE", HIGH): "27eea6a581a3e2d3",
+    ("BC", HIGH): "497b7da5e5edd698",
+    ("BD", HIGH): "70bd7b3a7a0c9c4d",
+    ("BE", HIGH): "10cf6eab60971a28",
+    ("CD", HIGH): "c02291f78e8f1c8f",
+    ("CE", HIGH): "4301a56af8e5b50a",
+    ("DE", HIGH): "6d3a81d20a3ad7f6",
+    ("AB", LOW): "9783d0bd6016a500",
+    ("AC", LOW): "a9c326678f6cbbcd",
+    ("AD", LOW): "caad93add0aecb83",
+    ("AE", LOW): "837168448cbc50b7",
+    ("BC", LOW): "416c18b75a3745b5",
+    ("BD", LOW): "11c2c6d7f595c97e",
+    ("BE", LOW): "069be88e657e2519",
+    ("CD", LOW): "7b5822a72ba3fbda",
+    ("CE", LOW): "56d47de9cafd5c99",
+    ("DE", LOW): "070e1aabd5d62040",
+}
+
+
+def test_instance_sequence_digest():
+    sequence = [
+        [str(i.word), str(i.weight), i.term, "".join(i.inner)]
+        for i in expand_identity18_instances()
+    ]
+    assert len(sequence) == 1440
+    assert _digest(sequence) == INSTANCE_SEQUENCE_DIGEST
+
+
+def test_class_table_digests():
+    instances = expand_identity18_instances()
+    for (pair, kind), expected in CLASS_TABLE_DIGESTS.items():
+        assert _digest(build_class_table(pair, kind, instances)) == expected, (pair, kind)
+
+
+def test_identity18_word_report_digest():
+    obj = verify_identity18_symbolic().to_json(include_words=True)
+    assert _digest(obj) == IDENTITY18_WORDS_DIGEST
