@@ -8,15 +8,15 @@ status: 0 all checks pass, 1 any check fails, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Optional, Union
-
-import numpy as np
 
 from .diagrams import EnumOptions, classify_by_output, enumerate_diagrams
 from .graded import (
@@ -29,6 +29,7 @@ from .graded import (
     identity18_residual,
 )
 from .matrixops import (
+    _MAT,
     Phi2Params,
     closed_remainder,
     identity6_residual,
@@ -36,7 +37,7 @@ from .matrixops import (
     phi4,
     worst_residual,
 )
-from .tensors import TensorShape, random_tensor
+from .tensors import TensorShape, _random_complexes, _trial_seeds, random_tensor
 from .words import (
     WEIGHT_CLASS_POLYS,
     canonical_cubic_weights,
@@ -52,18 +53,8 @@ from .words import (
 from .cyclo import WeightPoly
 
 SCHEMA = "tidlab/1"
-SUITES = (
-    "jacobi",
-    "identity6",
-    "phi4",
-    "cyclic16",
-    "identity18",
-    "appendix1",
-    "appendix2",
-    "all",
-)
-_MAT = TensorShape(1, 1)
 WEIGHT_MODES = ("canonical", "random-constrained")
+MODES = ("numeric", "symbolic", "both")
 
 
 @dataclass(frozen=True)
@@ -89,10 +80,13 @@ class RunConfig:
             raise ValueError("seeds must be non-negative")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.mode not in ("numeric", "symbolic", "both"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if isinstance(self.weights, str) and self.weights not in WEIGHT_MODES:
             raise ValueError(f"unknown weights mode {self.weights!r}")
+        explicit = () if isinstance(self.weights, str) else self.weights
+        if not all(map(cmath.isfinite, (*self.params.as_dict().values(), *explicit))):
+            raise ValueError("product coefficients and weights must be finite")
 
     def weights_name(self) -> str:
         """The weights as reports name them: the mode, or "explicit" for a triple."""
@@ -153,14 +147,11 @@ class CheckReport:
 
 
 def _rand_params(seed: int) -> Phi2Params:
-    rng = np.random.default_rng(seed)
-    alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    gamma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return Phi2Params.constrained(alpha, gamma)
+    return Phi2Params.constrained(*_random_complexes(seed, 2))
 
 
 def _mats(cfg: RunConfig, seed: int, n: int) -> list:
-    return [random_tensor(_MAT, cfg.dim, seed * 10 + i) for i in range(n)]
+    return [random_tensor(_MAT, cfg.dim, s) for s in _trial_seeds(seed, n)]
 
 
 def _jacobi_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
@@ -291,16 +282,17 @@ CHECKS = (
     Check("phi4/numeric", ("phi4",), "numeric", _phi4_numeric,
           lambda cfg: {"dim": cfg.dim, "param_draws": 5}),
     Check("phi4/symbolic", ("phi4",), "symbolic", _phi4_symbolic, lambda cfg: _CONSTRAINED),
-    Check("appendix1/numeric", ("appendix1",), "numeric", _appendix1_numeric,
-          lambda cfg: {"dim": cfg.dim, "params": "(1,-1,1,-1)"}),
-    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic, lambda cfg: {}),
     Check("cyclic16/numeric", ("cyclic16",), "numeric", _cyclic16_numeric, _ternary_params),
     Check("cyclic16/symbolic", ("cyclic16",), "symbolic", _cyclic16_symbolic, lambda cfg: {}),
     Check("identity18/numeric", ("identity18",), "numeric", _identity18_numeric, _ternary_params),
+    Check("appendix1/numeric", ("appendix1",), "numeric", _appendix1_numeric,
+          lambda cfg: {"dim": cfg.dim, "params": "(1,-1,1,-1)"}),
+    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic, lambda cfg: {}),
     # the word statistics back both identity18's symbolic mode and the appendix2 suite
     Check("appendix2/exact", ("identity18", "appendix2"), "symbolic", _appendix2_exact,
           lambda cfg: {"weights": "(1,w,w^2)"}),
 )
+SUITES = (*dict.fromkeys(suite for c in CHECKS for suite in c.suites), "all")
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +315,11 @@ def parse_seeds(text: str) -> tuple[int, ...]:
 def parse_shapes(text: str) -> tuple[TensorShape, ...]:
     """Parse an operand list like '(1,1)x(1,1)' or '(2,1)x(2,1)x(1,2)'."""
     shapes = []
-    for chunk in text.replace(" ", "").split("x"):
-        if not (chunk.startswith("(") and chunk.endswith(")")):
+    for chunk in re.split(r"(?<=\))x", text.replace(" ", "")):
+        m = re.fullmatch(r"\((\d+),(\d+)\)", chunk)
+        if m is None:
             raise ValueError(f"bad shape {chunk!r}; expected '(p,q)'")
-        p, q = chunk[1:-1].split(",")
-        shapes.append(TensorShape(int(p), int(q)))
+        shapes.append(TensorShape(int(m[1]), int(m[2])))
     return tuple(shapes)
 
 
@@ -337,7 +329,7 @@ def default_seeds(args_seeds: Optional[str]) -> tuple[int, ...]:
     env = os.environ.get("TIDLAB_SEED")
     if env:
         return (int(env),)
-    return tuple(range(1, 11))
+    return RunConfig.seeds
 
 
 def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
@@ -350,15 +342,15 @@ def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
             raise ValueError("convention auto-search found no surviving convention")
         return survivors[0]
     with open(source, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    pairings = obj.get("pairings") if isinstance(obj, dict) else None
-    if not isinstance(pairings, dict):
-        # convention-search writes null pairings when no convention survives
-        raise ValueError(f"{source}: descriptor has no pairings")
-    try:
-        return ChainConvention.from_json(pairings)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        try:
+            obj = json.load(fh)
+            pairings = obj.get("pairings") if isinstance(obj, dict) else None
+            if not isinstance(pairings, dict):
+                # convention-search writes null pairings when no convention survives
+                raise ValueError("descriptor has no pairings")
+            return ChainConvention.from_json(pairings)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 def _emit_json(obj: dict) -> None:
@@ -378,9 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tolerance_rel=args.tol,
             weights=_parse_weights(args.weights),
             mode=args.mode,
-            params=Phi2Params(
-                complex(args.alpha), complex(args.beta), complex(args.gamma), complex(args.delta)
-            ),
+            params=Phi2Params(*(complex(getattr(args, f.name)) for f in fields(Phi2Params))),
         )
         selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
         if not selected:
@@ -451,10 +441,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "command": "enumerate",
                 "shapes": [s.as_tuple() for s in shapes],
                 "options": {
-                    "forbid_self_contraction": options.forbid_self_contraction,
-                    "quotient_by_slot_symmetry": options.quotient_by_slot_symmetry,
-                    "quotient_by_operand_symmetry": options.quotient_by_operand_symmetry,
-                    "require_connected": options.require_connected,
+                    **asdict(options),
                     "required_output_shape": out_shape.as_tuple() if out_shape else None,
                 },
                 "count": len(diagrams),
@@ -464,8 +451,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     else:
         for i, d in enumerate(diagrams):
-            pairs = sorted((u.to_json(), l.to_json()) for u, l in d.pairs)
-            print(f"#{i}: output {d.output_shape}  pairs {pairs}")
+            print(f"#{i}: output {d.output_shape}  pairs {list(d.sort_key()[1])}")
         print(f"count: {len(diagrams)}")
         print("by output:", {str(k): v for k, v in histogram.items()})
     return 0
@@ -490,7 +476,7 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
                 "pairings": t.convention.to_json(),
                 "cyclic_residual": _json_residual(t.cyclic_max),
                 "identity18_residual": _json_residual(t.identity18_max),
-                "pass": t.passes(args.tol),
+                "pass": t.passes(cfg.tolerance_rel),
             }
             for t in trials
         ],
@@ -507,7 +493,7 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
         _emit_json(descriptor)
     else:
         for t in trials:
-            mark = "PASS" if t.passes(args.tol) else "FAIL"
+            mark = "PASS" if t.passes(cfg.tolerance_rel) else "FAIL"
             print(
                 f"{mark}  {t.convention.label()}  cyclic={t.cyclic_max:.3e}  "
                 f"identity18={t.identity18_max:.3e}"
@@ -519,6 +505,13 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_grid_args(parser: argparse.ArgumentParser, dim: int) -> None:
+    """The --dim/--seeds/--tol grid shared by verify and convention-search."""
+    parser.add_argument("--dim", type=int, default=dim)
+    parser.add_argument("--seeds", help="'7', '1,2,5' or '1..100'")
+    parser.add_argument("--tol", type=float, default=RunConfig.tolerance_rel)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tidlab",
@@ -528,20 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES)
-    v.add_argument("--dim", type=int, default=3)
-    v.add_argument("--seeds", help="'7', '1,2,5' or '1..100'")
-    v.add_argument("--tol", type=float, default=1e-10)
-    v.add_argument("--mode", choices=("numeric", "symbolic", "both"), default="both")
+    _add_grid_args(v, RunConfig.dim)
+    v.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     v.add_argument(
         "--weights",
-        default="canonical",
+        default=RunConfig.weights,
         help="'canonical', 'random-constrained' or three complex literals 'a,b,g'",
     )
     v.add_argument("--convention", help="descriptor path or 'auto-search'")
-    v.add_argument("--alpha", default="1")
-    v.add_argument("--beta", default="-1")
-    v.add_argument("--gamma", default="0")
-    v.add_argument("--delta", default="0")
+    for f in fields(Phi2Params):
+        v.add_argument(f"--{f.name}", default=f.default)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
@@ -561,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_enumerate)
 
     s = sub.add_parser("convention-search", help="search chain pairing conventions")
-    s.add_argument("--dim", type=int, default=2)
-    s.add_argument("--seeds", help="'7', '1,2,5' or '1..100'")
-    s.add_argument("--tol", type=float, default=1e-10)
+    _add_grid_args(s, 2)
     s.add_argument("--out", help="write the descriptor file here")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_convention_search)

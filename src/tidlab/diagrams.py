@@ -134,9 +134,7 @@ class ContractionDiagram:
     def to_json(self) -> dict:
         return {
             "operand_shapes": [s.as_tuple() for s in self.operand_shapes],
-            "pairs": sorted(
-                [u.to_json(), l.to_json()] for u, l in self.pairs
-            ),
+            "pairs": [list(pair) for pair in self.sort_key()[1]],
         }
 
     @classmethod

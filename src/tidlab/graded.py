@@ -27,7 +27,7 @@ import numpy as np
 from .cyclo import CycloScalar
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
 from .matrixops import relative_residual, worst_residual
-from .tensors import DenseTensor, TensorShape, _random_draw, apply_diagram
+from .tensors import DenseTensor, TensorShape, _random_complexes, _random_draw, _trial_seeds, apply_diagram
 from .words import (
     BRACKET_WORD_ORDER,
     HIGH,
@@ -115,7 +115,7 @@ def random_graded_pair(dim: int, seed: int) -> GradedPair:
 
 def _trial_pairs(dim: int, seed: int, n: int) -> list[GradedPair]:
     """The n operands of one seed's trial, shared by the search and the ternary checks."""
-    return [random_graded_pair(dim, seed * 10 + i) for i in range(n)]
+    return [random_graded_pair(dim, s) for s in _trial_seeds(seed, n)]
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,7 @@ class TernaryWeights:
     @classmethod
     def random_zero_sum(cls, seed: int) -> "TernaryWeights":
         """Random complex weights with alpha + beta + gamma = 0 only."""
-        rng = np.random.default_rng(seed)
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        a, b = _random_complexes(seed, 2)
         return cls(a, b, -a - b)
 
     def sum(self) -> complex:

@@ -11,7 +11,7 @@ identity checked by `identity6_residual`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,19 +35,14 @@ __all__ = [
 _MAT = TensorShape(1, 1)
 _PAIR_SHAPES = (_MAT, _MAT)
 
-# the four elementary diagrams over two (1,1) operands with (1,1) output
-_D_AB = ContractionDiagram(
-    _PAIR_SHAPES, frozenset({(SlotRef(1, UPPER, 0), SlotRef(0, LOWER, 0))})
-)
-_D_BA = ContractionDiagram(
-    _PAIR_SHAPES, frozenset({(SlotRef(0, UPPER, 0), SlotRef(1, LOWER, 0))})
-)
-_D_A_TRB = ContractionDiagram(
-    _PAIR_SHAPES, frozenset({(SlotRef(1, UPPER, 0), SlotRef(1, LOWER, 0))})
-)
-_D_B_TRA = ContractionDiagram(
-    _PAIR_SHAPES, frozenset({(SlotRef(0, UPPER, 0), SlotRef(0, LOWER, 0))})
-)
+def _pair_diagram(up: int, low: int) -> ContractionDiagram:
+    """Operand `up`'s upper slot joined to operand `low`'s lower slot."""
+    return ContractionDiagram(_PAIR_SHAPES, frozenset({(SlotRef(up, UPPER, 0), SlotRef(low, LOWER, 0))}))
+
+
+# the four elementary diagrams over two (1,1) operands with (1,1) output, in
+# Phi2Params field order: AB, BA, A·TrB, B·TrA
+_PHI2_DIAGRAMS = (_pair_diagram(1, 0), _pair_diagram(0, 1), _pair_diagram(1, 1), _pair_diagram(0, 0))
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,12 @@ class Phi2Params:
 
     @classmethod
     def commutator(cls) -> "Phi2Params":
-        return cls(1.0, -1.0, 0.0, 0.0)
+        return cls()
 
     @classmethod
     def traced_commutator(cls) -> "Phi2Params":
         """The unit instance of the constrained family: (1, -1, 1, -1)."""
-        return cls(1.0, -1.0, 1.0, -1.0)
+        return cls.constrained(1.0, 1.0)
 
     @classmethod
     def constrained(cls, alpha: complex, gamma: complex) -> "Phi2Params":
@@ -74,27 +69,15 @@ class Phi2Params:
         return cls(alpha, -alpha, gamma, -gamma)
 
     def as_dict(self) -> dict[str, complex]:
-        return {
-            "alpha": complex(self.alpha),
-            "beta": complex(self.beta),
-            "gamma": complex(self.gamma),
-            "delta": complex(self.delta),
-        }
-
-
-def _check_mat(t: DenseTensor, name: str) -> None:
-    if t.shape != _MAT:
-        raise ValueError(f"{name} must be a (1,1) tensor, got {t.shape}")
+        return {name: complex(v) for name, v in asdict(self).items()}
 
 
 def phi2(a: DenseTensor, b: DenseTensor, p: Phi2Params) -> DenseTensor:
     """alpha·ab + beta·ba + gamma·a·Tr(b) + delta·b·Tr(a)."""
-    ops = [a, b]
-    out = apply_diagram(_D_AB, ops) * p.alpha
-    out = out + apply_diagram(_D_BA, ops) * p.beta
-    out = out + apply_diagram(_D_A_TRB, ops) * p.gamma
-    out = out + apply_diagram(_D_B_TRA, ops) * p.delta
-    return out
+    # not astuple(p): it deep-copies, and phi2 is the innermost numeric call
+    weights = (p.alpha, p.beta, p.gamma, p.delta)
+    terms = [apply_diagram(d, [a, b]) * w for d, w in zip(_PHI2_DIAGRAMS, weights)]
+    return sum(terms[1:], terms[0])
 
 
 def phi3(
@@ -154,7 +137,8 @@ def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTen
     must be (1,1) tensors of equal dimension.
     """
     for t, name in ((a, "a"), (b, "b"), (c, "c")):
-        _check_mat(t, name)
+        if t.shape != _MAT:
+            raise ValueError(f"{name} must be a (1,1) tensor, got {t.shape}")
     am, bm, cm = a.data, b.data, c.data
     out = (
         np.trace(am) * (cm @ bm - bm @ cm)

@@ -9,7 +9,7 @@ serialization order.  All values are immutable after construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
@@ -234,35 +234,24 @@ def _einsum_plan(diagram: "ContractionDiagram"):
     costs d^k at every d: greedily joining the pair with the fewest labels in
     their union fixes one order for all dimensions.
     """
+    from .diagrams import LOWER, UPPER  # diagrams imports this module
+    ids = itertools.count()
     label: dict[tuple[int, str, int], int] = {}
-    next_label = 0
     for up, low in sorted(diagram.pairs):
-        key_u = (up.operand, up.kind, up.position)
-        key_l = (low.operand, low.kind, low.position)
-        label[key_u] = next_label
-        label[key_l] = next_label
-        next_label += 1
+        label[astuple(up)] = label[astuple(low)] = next(ids)
     subs: list[tuple[int, ...]] = []
-    free_upper: list[int] = []
-    free_lower: list[int] = []
+    free: dict[str, list[int]] = {UPPER: [], LOWER: []}
     for i, shape in enumerate(diagram.operand_shapes):
         sub: list[int] = []
-        for pos in range(shape.upper):
-            key = (i, "upper", pos)
-            if key not in label:
-                label[key] = next_label
-                free_upper.append(next_label)
-                next_label += 1
-            sub.append(label[key])
-        for pos in range(shape.lower):
-            key = (i, "lower", pos)
-            if key not in label:
-                label[key] = next_label
-                free_lower.append(next_label)
-                next_label += 1
-            sub.append(label[key])
+        for kind, count in ((UPPER, shape.upper), (LOWER, shape.lower)):
+            for pos in range(count):
+                key = (i, kind, pos)
+                if key not in label:
+                    label[key] = next(ids)
+                    free[kind].append(label[key])
+                sub.append(label[key])
         subs.append(tuple(sub))
-    out_sub = tuple(free_upper + free_lower)
+    out_sub = tuple(free[UPPER] + free[LOWER])
 
     steps = []
     while len(subs) > 2:
@@ -327,3 +316,14 @@ def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> Dens
     re = rng.uniform(-1.0, 1.0, size)
     im = rng.uniform(-1.0, 1.0, size)
     return DenseTensor(shape, dim, re + 1j * im)
+
+
+def _random_complexes(seed: int, n: int) -> list[complex]:
+    """n complex numbers, real then imaginary part of each uniform in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+
+
+def _trial_seeds(seed: int, n: int) -> list[int]:
+    """The seeds of the n operands of one trial seed, shared by every numeric check."""
+    return [seed * 10 + i for i in range(n)]

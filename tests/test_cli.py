@@ -365,3 +365,40 @@ def test_enumerate_out_takes_one_shape(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--out takes one shape" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--alpha", "inf"), ("--delta", "nan"), ("--weights", "nan,1,1"), ("--weights", "1,inf,-1")],
+)
+def test_verify_non_finite_coefficient_usage_error(capsys, flag, value):
+    suite = "cyclic16" if flag == "--weights" else "jacobi"
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["verify", suite, "--seeds", "1", flag, value, *extra])
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, chunk",
+    [
+        (["enumerate", "(1,1,1)"], "(1,1,1)"),
+        (["enumerate", "(a,1)"], "(a,1)"),
+        (["enumerate", "(1,1)", "--out", "(1,x)"], "(1,x)"),
+    ],
+)
+def test_enumerate_malformed_shape_names_chunk(capsys, argv, chunk):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(chunk) in err and "'(p,q)'" in err
+
+
+def test_verify_descriptor_not_json_names_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    code, out, err = run(capsys, ["verify", "identity18", "--convention", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
