@@ -16,25 +16,27 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .diagrams import EnumOptions, classify_by_output, enumerate_diagrams
 from .graded import (
     CANONICAL_CONVENTION,
     ChainConvention,
     TernaryWeights,
+    _cyclic,
+    _identity18,
     _trial_pairs,
     convention_search,
-    cyclic_residual,
-    identity18_residual,
 )
+from .graded import _evaluate as _evaluate_graded
 from .matrixops import (
     _MAT,
     Phi2Params,
+    _evaluate,
+    _identity6,
+    _jacobi,
+    _phi4,
     closed_remainder,
-    identity6_residual,
-    jacobi_cyclic_residual,
-    phi4,
     worst_residual,
 )
 from .tensors import TensorShape, _random_complexes, _trial_seeds, random_tensor
@@ -154,37 +156,36 @@ def _mats(cfg: RunConfig, seed: int, n: int) -> list:
     return [random_tensor(_MAT, cfg.dim, s) for s in _trial_seeds(seed, n)]
 
 
-def _jacobi_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
-    mats = _mats(cfg, seed, 3)
-    yield jacobi_cyclic_residual(*mats, cfg.params), mats
+def _jacobi_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
+    return _evaluate(_jacobi, ((_mats(cfg, seed, 3), cfg.params) for seed in seeds))
 
 
-def _identity6_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
-    mats = _mats(cfg, seed, 4)
-    for params in (Phi2Params.traced_commutator(), _rand_params(seed)):
-        yield identity6_residual(*mats, params), mats
+def _identity6_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
+    trials = ((mats, params) for seed in seeds for mats in [_mats(cfg, seed, 4)]
+              for params in (Phi2Params.traced_commutator(), _rand_params(seed)))
+    return _evaluate(_identity6, trials)
 
 
-def _phi4_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
-    mats = _mats(cfg, seed, 4)
-    for k in range(5):
-        yield phi4(*mats, _rand_params(seed * 1000 + k)), mats
+def _phi4_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
+    trials = ((mats, _rand_params(seed * 1000 + k)) for seed in seeds for mats in [_mats(cfg, seed, 4)]
+              for k in range(5))
+    return _evaluate(_phi4, trials)
 
 
-def _appendix1_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
-    mats = _mats(cfg, seed, 3)
-    res = jacobi_cyclic_residual(*mats, Phi2Params.traced_commutator()) - closed_remainder(*mats)
-    yield res, mats
+def _appendix1_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
+    trials = ((_mats(cfg, seed, 3), Phi2Params.traced_commutator()) for seed in seeds)
+    for res, mats in _evaluate(_jacobi, trials):
+        yield res - closed_remainder(*mats), mats
 
 
-def _cyclic16_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
-    vals = _trial_pairs(cfg.dim, seed, 3)
-    yield cyclic_residual(*vals, cfg.ternary_weights(seed), cfg.convention), vals
+def _cyclic16_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
+    trials = ((_trial_pairs(cfg.dim, seed, 3), cfg.ternary_weights(seed)) for seed in seeds)
+    return _evaluate_graded(_cyclic, trials, cfg.convention)
 
 
-def _identity18_numeric(cfg: RunConfig, seed: int) -> Iterator[tuple]:
-    vals = _trial_pairs(cfg.dim, seed, 5)
-    yield identity18_residual(*vals, cfg.ternary_weights(seed), cfg.convention), vals
+def _identity18_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
+    trials = ((_trial_pairs(cfg.dim, seed, 5), cfg.ternary_weights(seed)) for seed in seeds)
+    return _evaluate_graded(_identity18, trials, cfg.convention)
 
 
 def _identity6_symbolic() -> tuple[bool, str]:
@@ -244,9 +245,10 @@ _CONSTRAINED = {"params": "beta=-alpha, delta=-gamma"}
 class Check:
     """One row of the check table.
 
-    A numeric body yields (residual, operands) trials for one seed, reduced
-    over all seeds by `worst_residual`; a symbolic body returns
-    (passed, digest).  `params` gives the row's report params.
+    A numeric body takes all of the run's seeds and returns their
+    (residual, operands) trials in seed order, evaluated in batches of
+    trials, for `worst_residual`; a symbolic body returns (passed, digest).
+    `params` gives the row's report params.
     """
 
     name: str
@@ -264,7 +266,7 @@ class Check:
         start = time.perf_counter()
         residual = digest = None
         if self.kind == "numeric":
-            residual = worst_residual(t for seed in cfg.seeds for t in self.body(cfg, seed))
+            residual = worst_residual(self.body(cfg, cfg.seeds))
             passed = residual <= cfg.tolerance_rel
             if not math.isfinite(residual):
                 digest = "non-finite residual"
@@ -300,16 +302,27 @@ SUITES = (*dict.fromkeys(suite for c in CHECKS for suite in c.suites), "all")
 # ---------------------------------------------------------------------------
 
 
-def parse_seeds(text: str) -> tuple[int, ...]:
-    """Accept '7', '1,2,5' or '1..100' (inclusive)."""
+SEED_FORMS = "'7', '1,2,5' or '1..100'"
+
+
+def parse_seeds(text: str, source: str = "--seeds") -> tuple[int, ...]:
+    """Accept '7', '1,2,5' or '1..100' (inclusive); `source` names the flag or variable."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty seed range {text!r}")
-        return tuple(range(lo_i, hi_i + 1))
-    return tuple(int(part) for part in text.split(","))
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = tuple(range(int(lo), int(hi) + 1)) if dots else tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"{source} takes {SEED_FORMS}, got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
+
+
+def _complex(text: str, source: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError:
+        raise ValueError(f"{source} takes a complex literal like '1', '-0.5' or '2-1j', got {text!r}") from None
 
 
 def parse_shapes(text: str) -> tuple[TensorShape, ...]:
@@ -328,7 +341,7 @@ def default_seeds(args_seeds: Optional[str]) -> tuple[int, ...]:
         return parse_seeds(args_seeds)
     env = os.environ.get("TIDLAB_SEED")
     if env:
-        return (int(env),)
+        return parse_seeds(env, "TIDLAB_SEED")
     return RunConfig.seeds
 
 
@@ -370,7 +383,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tolerance_rel=args.tol,
             weights=_parse_weights(args.weights),
             mode=args.mode,
-            params=Phi2Params(*(complex(getattr(args, f.name)) for f in fields(Phi2Params))),
+            params=Phi2Params(*(_complex(getattr(args, f.name), f"--{f.name}") for f in fields(Phi2Params))),
         )
         selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
         if not selected:
@@ -410,7 +423,7 @@ def _parse_weights(text: str) -> Union[str, tuple[complex, complex, complex]]:
             f"--weights must be 'canonical', 'random-constrained' or three "
             f"complex literals, got {text!r}"
         )
-    return tuple(complex(p) for p in parts)  # type: ignore[return-value]
+    return tuple(_complex(p, "--weights") for p in parts)  # type: ignore[return-value]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -508,7 +521,7 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
 def _add_grid_args(parser: argparse.ArgumentParser, dim: int) -> None:
     """The --dim/--seeds/--tol grid shared by verify and convention-search."""
     parser.add_argument("--dim", type=int, default=dim)
-    parser.add_argument("--seeds", help="'7', '1,2,5' or '1..100'")
+    parser.add_argument("--seeds", help=SEED_FORMS)
     parser.add_argument("--tol", type=float, default=RunConfig.tolerance_rel)
 
 

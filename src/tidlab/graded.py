@@ -27,7 +27,9 @@ import numpy as np
 from .cyclo import CycloScalar
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
 from .matrixops import relative_residual, worst_residual
-from .tensors import DenseTensor, TensorShape, _random_complexes, _random_draw, _trial_seeds, apply_diagram
+from .tensors import (
+    DenseTensor, TensorShape, _batches, _columns, _contract, _random_complexes, _random_draw, _stack, _trial_seeds
+)
 from .words import (
     BRACKET_WORD_ORDER,
     HIGH,
@@ -170,9 +172,10 @@ _CHAINS = {
     HIGH: _chain((_HIGH_SHAPE, _LOW_SHAPE, _HIGH_SHAPE)),
     LOW: _chain((_LOW_SHAPE, _HIGH_SHAPE, _LOW_SHAPE)),
 }
-# word kind -> (outer component, middle component, axes swapping the middle's
-# doubled-edge slots: the lowers of a (1,2) middle, the uppers of a (2,1) one)
-_WORD_PARTS = {HIGH: ("high", "low", (0, 2, 1)), LOW: ("low", "high", (1, 0, 2))}
+# word kind -> (outer component, middle component, axes swapping a batch of
+# middles' doubled-edge slots: the lowers of a (1,2) middle, the uppers of a
+# (2,1) one)
+_WORD_PARTS = {HIGH: (HIGH, LOW, (0, 1, 3, 2)), LOW: (LOW, HIGH, (0, 2, 1, 3))}
 
 
 @dataclass(frozen=True)
@@ -218,12 +221,6 @@ class ChainConvention:
 CANONICAL_CONVENTION = ChainConvention()
 
 
-def _fold_middle(t: DenseTensor, swap: tuple[int, ...], pairings: tuple[str, str]) -> DenseTensor:
-    """sigma_l2r(t) + sigma_r2l(t); sigma swaps the doubled-edge slots if crossed."""
-    l2r, r2l = (t.data.transpose(swap) if p == CROSSED else t.data for p in pairings)
-    return DenseTensor(t.shape, t.dim, l2r + r2l)
-
-
 def three_commutator(
     x: GradedPair,
     y: GradedPair,
@@ -244,19 +241,7 @@ def three_commutator(
 
         sum over orders o of  w(o) * C(a_o, sigma_l2r(b_o) + sigma_r2l(b_o), c_o).
     """
-    args = (x, y, z)
-    v = astuple(convention)  # field order: high (l2r, r2l), then low (l2r, r2l)
-    pairings = {HIGH: v[:2], LOW: v[2:]}
-    out = {}
-    for kind, (outer, middle, swap) in _WORD_PARTS.items():
-        ends = [getattr(arg, outer) for arg in args]
-        mids = [_fold_middle(getattr(arg, middle), swap, pairings[kind]) for arg in args]
-        terms = [
-            apply_diagram(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * weights.by_name(w)
-            for (i, j, k), w in BRACKET_WORD_ORDER
-        ]
-        out[kind] = sum(terms[1:], terms[0])
-    return GradedPair(low=out[LOW], high=out[HIGH])
+    return _one(_three_commutator, (x, y, z), weights, convention)
 
 
 def cyclic_residual(
@@ -267,11 +252,7 @@ def cyclic_residual(
     convention: ChainConvention = CANONICAL_CONVENTION,
 ) -> GradedPair:
     """(x,y,z) + (z,x,y) + (y,z,x); zero whenever alpha+beta+gamma = 0."""
-    return (
-        three_commutator(x, y, z, weights, convention)
-        + three_commutator(z, x, y, weights, convention)
-        + three_commutator(y, z, x, weights, convention)
-    )
+    return _one(_cyclic, (x, y, z), weights, convention)
 
 
 def identity18_residual(
@@ -288,10 +269,65 @@ def identity18_residual(
     Terms are accumulated sequentially in printed order so runs are
     bit-reproducible.
     """
+    return _one(_identity18, (a, b, c, d, e), weights, convention)
+
+
+# The implementations run on batches of pairs, each a dict from component
+# (HIGH: the (2,1) part, LOW: the (1,2) part) to an (n, dim, dim, dim) array
+# with one trial per row; the weights' fields are (n, 1, 1, 1) columns.
+
+
+def _fold_middle(t: np.ndarray, swap: tuple[int, ...], pairings: tuple[str, str]) -> np.ndarray:
+    """sigma_l2r(t) + sigma_r2l(t); sigma swaps the doubled-edge slots if crossed."""
+    l2r, r2l = (t.transpose(swap) if p == CROSSED else t for p in pairings)
+    return l2r + r2l
+
+
+def _three_commutator(x, y, z, weights, convention):
+    args = (x, y, z)
+    v = astuple(convention)  # field order: high (l2r, r2l), then low (l2r, r2l)
+    pairings = {HIGH: v[:2], LOW: v[2:]}
+    out = {}
+    for kind, (outer, middle, swap) in _WORD_PARTS.items():
+        ends = [arg[outer] for arg in args]
+        mids = [_fold_middle(arg[middle], swap, pairings[kind]) for arg in args]
+        terms = [
+            _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * weights.by_name(w)
+            for (i, j, k), w in BRACKET_WORD_ORDER
+        ]
+        out[kind] = sum(terms[1:], terms[0])
+    return out
+
+
+def _pair_sum(terms: list[dict]) -> dict:
+    return {kind: sum((t[kind] for t in terms[1:]), terms[0][kind]) for kind in (HIGH, LOW)}
+
+
+def _cyclic(x, y, z, weights, convention):
+    bracket = partial(_three_commutator, weights=weights, convention=convention)
+    return _pair_sum([bracket(x, y, z), bracket(z, x, y), bracket(y, z, x)])
+
+
+def _identity18(a, b, c, d, e, weights, convention):
     v = {"A": a, "B": b, "C": c, "D": d, "E": e}
-    bracket = partial(three_commutator, weights=weights, convention=convention)
-    terms = [bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in IDENTITY18_TERMS]
-    return sum(terms[1:], terms[0])
+    bracket = partial(_three_commutator, weights=weights, convention=convention)
+    return _pair_sum([bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in IDENTITY18_TERMS])
+
+
+def _evaluate(fn, trials, convention: ChainConvention):
+    """fn over (pairs, weights) trials in batches; yields (result, pairs) per trial, in order."""
+    for chunk in _batches(trials):
+        parts = [[c for x in pairs for c in (x.low, x.high)] for pairs, _ in chunk]
+        dim, arrays = _stack(parts, (_LOW_SHAPE, _HIGH_SHAPE) * len(chunk[0][0]))
+        args = [{LOW: low, HIGH: high} for low, high in zip(arrays[::2], arrays[1::2])]
+        out = fn(*args, _columns([w for _, w in chunk], 3), convention)
+        for (pairs, _), low, high in zip(chunk, out[LOW], out[HIGH]):
+            yield GradedPair(DenseTensor._own(_LOW_SHAPE, dim, low), DenseTensor._own(_HIGH_SHAPE, dim, high)), pairs
+
+
+def _one(fn, pairs, weights: TernaryWeights, convention: ChainConvention) -> GradedPair:
+    """fn on one trial: the batch of one behind each public function."""
+    return next(_evaluate(fn, [(pairs, weights)], convention))[0]
 
 
 def word_generators(word: GradedWord) -> list[tuple[str, ...]]:
@@ -342,8 +378,8 @@ def convention_search(
     trials = []
     survivors = []
     for conv in ChainConvention.all_conventions():
-        c_max = worst_residual((cyclic_residual(*vals[:3], weights, conv), vals[:3]) for vals in draws)
-        i_max = worst_residual((identity18_residual(*vals, weights, conv), vals) for vals in draws)
+        c_max = worst_residual(_evaluate(_cyclic, ((vals[:3], weights) for vals in draws), conv))
+        i_max = worst_residual(_evaluate(_identity18, ((vals, weights) for vals in draws), conv))
         trial = ConventionTrial(conv, c_max, i_max)
         trials.append(trial)
         if trial.passes(tolerance):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
-from .tensors import DenseTensor, TensorShape, apply_diagram
+from .tensors import DenseTensor, TensorShape, _batches, _columns, _contract, _stack
 from .words import IDENTITY6_TERMS
 
 __all__ = [
@@ -74,10 +74,7 @@ class Phi2Params:
 
 def phi2(a: DenseTensor, b: DenseTensor, p: Phi2Params) -> DenseTensor:
     """alpha·ab + beta·ba + gamma·a·Tr(b) + delta·b·Tr(a)."""
-    # not astuple(p): it deep-copies, and phi2 is the innermost numeric call
-    weights = (p.alpha, p.beta, p.gamma, p.delta)
-    terms = [apply_diagram(d, [a, b]) * w for d, w in zip(_PHI2_DIAGRAMS, weights)]
-    return sum(terms[1:], terms[0])
+    return _one(_phi2, (a, b), p)
 
 
 def phi3(
@@ -87,11 +84,7 @@ def phi3(
 
     Complements keep ascending argument order.
     """
-    return (
-        phi2(phi2(a2, a3, p), a1, p)
-        - phi2(phi2(a1, a3, p), a2, p)
-        + phi2(phi2(a1, a2, p), a3, p)
-    )
+    return _one(_phi3, (a1, a2, a3), p)
 
 
 def phi4(
@@ -102,32 +95,77 @@ def phi4(
     p: Phi2Params,
 ) -> DenseTensor:
     """Alternating sum of phi2(phi3(complement), a_i); zero when beta=-alpha, delta=-gamma."""
-    return (
-        phi2(phi3(a2, a3, a4, p), a1, p)
-        - phi2(phi3(a1, a3, a4, p), a2, p)
-        + phi2(phi3(a1, a2, a4, p), a3, p)
-        - phi2(phi3(a1, a2, a3, p), a4, p)
-    )
+    return _one(_phi4, (a1, a2, a3, a4), p)
 
 
 def jacobi_cyclic_residual(
     a: DenseTensor, b: DenseTensor, c: DenseTensor, p: Phi2Params
 ) -> DenseTensor:
     """(a∘b)∘c + (b∘c)∘a + (c∘a)∘b."""
-    return (
-        phi2(phi2(a, b, p), c, p)
-        + phi2(phi2(b, c, p), a, p)
-        + phi2(phi2(c, a, p), b, p)
-    )
+    return _one(_jacobi, (a, b, c), p)
 
 
 def identity6_residual(
     a: DenseTensor, b: DenseTensor, c: DenseTensor, d: DenseTensor, p: Phi2Params
 ) -> DenseTensor:
     """The literal twelve-term nested sum, term order as printed."""
-    m = {"A": a, "B": b, "C": c, "D": d}
-    terms = [phi2(phi2(phi2(m[w], m[x], p), m[y], p), m[z], p) for w, x, y, z in IDENTITY6_TERMS]
+    return _one(_identity6, (a, b, c, d), p)
+
+
+# The implementations run on (n, dim, dim) arrays, one trial per row, with p's
+# fields as (n, 1, 1) columns (see `_evaluate`).
+
+
+def _phi2(a, b, p):
+    # not astuple(p): it deep-copies, and phi2 is the innermost numeric call
+    weights = (p.alpha, p.beta, p.gamma, p.delta)
+    terms = [_contract(d, [a, b]) * w for d, w in zip(_PHI2_DIAGRAMS, weights)]
     return sum(terms[1:], terms[0])
+
+
+def _phi3(a1, a2, a3, p):
+    return (
+        _phi2(_phi2(a2, a3, p), a1, p)
+        - _phi2(_phi2(a1, a3, p), a2, p)
+        + _phi2(_phi2(a1, a2, p), a3, p)
+    )
+
+
+def _phi4(a1, a2, a3, a4, p):
+    return (
+        _phi2(_phi3(a2, a3, a4, p), a1, p)
+        - _phi2(_phi3(a1, a3, a4, p), a2, p)
+        + _phi2(_phi3(a1, a2, a4, p), a3, p)
+        - _phi2(_phi3(a1, a2, a3, p), a4, p)
+    )
+
+
+def _jacobi(a, b, c, p):
+    return (
+        _phi2(_phi2(a, b, p), c, p)
+        + _phi2(_phi2(b, c, p), a, p)
+        + _phi2(_phi2(c, a, p), b, p)
+    )
+
+
+def _identity6(a, b, c, d, p):
+    m = {"A": a, "B": b, "C": c, "D": d}
+    terms = [_phi2(_phi2(_phi2(m[w], m[x], p), m[y], p), m[z], p) for w, x, y, z in IDENTITY6_TERMS]
+    return sum(terms[1:], terms[0])
+
+
+def _evaluate(fn, trials: Iterable[tuple[Sequence[DenseTensor], Phi2Params]]):
+    """fn over (operands, params) trials in batches; yields (result, operands) per trial, in order."""
+    for chunk in _batches(trials):
+        dim, arrays = _stack([ops for ops, _ in chunk], (_MAT,) * len(chunk[0][0]))
+        out = fn(*arrays, _columns([p for _, p in chunk], 2))
+        for res, (ops, _) in zip(out, chunk):
+            yield DenseTensor._own(_MAT, dim, res), ops
+
+
+def _one(fn, operands, p: Phi2Params) -> DenseTensor:
+    """fn on one trial: the batch of one behind each public function."""
+    return next(_evaluate(fn, [(operands, p)]))[0]
 
 
 def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTensor:

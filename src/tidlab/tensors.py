@@ -4,14 +4,17 @@ A tensor of type (p,q) has p upper and q lower slots, all ranging over the
 same dimension n.  Entries are stored as an ndarray of shape (n,)*(p+q) with
 the upper axes first; the flat lexicographic order of that array is the
 serialization order.  All values are immutable after construction.
+
+The numeric checks run on raw arrays with one extra leading batch axis, one
+trial per row; each public function on tensors is a batch of one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,10 +82,20 @@ class DenseTensor:
             raise ValueError(
                 f"data shape {arr.shape} does not match {shape} at dim {dim}"
             )
+        self._freeze(shape, dim, arr)
+
+    def _freeze(self, shape: TensorShape, dim: int, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _own(cls, shape: TensorShape, dim: int, arr: np.ndarray) -> "DenseTensor":
+        """Take a complex128 array the package has just built, without a copy."""
+        t = object.__new__(cls)
+        t._freeze(shape, dim, np.asarray(arr))  # a 0-d ufunc result is a numpy scalar
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
@@ -124,17 +137,17 @@ class DenseTensor:
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         self._check_like(other)
-        return DenseTensor(self.shape, self.dim, self.data + other.data)
+        return DenseTensor._own(self.shape, self.dim, self.data + other.data)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
         self._check_like(other)
-        return DenseTensor(self.shape, self.dim, self.data - other.data)
+        return DenseTensor._own(self.shape, self.dim, self.data - other.data)
 
     def __neg__(self) -> "DenseTensor":
-        return DenseTensor(self.shape, self.dim, -self.data)
+        return DenseTensor._own(self.shape, self.dim, -self.data)
 
     def __mul__(self, scalar: complex) -> "DenseTensor":
-        return DenseTensor(self.shape, self.dim, self.data * complex(scalar))
+        return DenseTensor._own(self.shape, self.dim, self.data * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -266,6 +279,32 @@ def _einsum_plan(diagram: "ContractionDiagram"):
     return tuple(steps), tuple(subs), out_sub, diagram.output_shape
 
 
+# the einsum label of the leading trial axis: numpy takes labels below 52, and
+# a diagram never has that many slot labels
+_BATCH_LABEL = (51,)
+
+
+def _contract(diagram: "ContractionDiagram", arrays: list[np.ndarray]) -> np.ndarray:
+    """`apply_diagram` on batches: each array is (n, dim, ...), one trial per row.
+
+    For the product and chain diagrams each row is bit-identical to a batch
+    of one; numpy may order another diagram's sums differently in a batch.
+    """
+    steps, final_subs, out_sub, _ = _einsum_plan(diagram)
+    n = _BATCH_LABEL
+    arrays = list(arrays)
+    for i, j, sub_i, sub_j, sub_kept in steps:
+        b = arrays.pop(j)
+        a = arrays.pop(i)
+        arrays.append(np.einsum(a, n + sub_i, b, n + sub_j, n + sub_kept))
+    args: list = []
+    for a, s in zip(arrays, final_subs):
+        args.append(a)
+        args.append(n + s)
+    args.append(n + out_sub)
+    return np.einsum(*args)
+
+
 def apply_diagram(
     diagram: "ContractionDiagram", operands: list[DenseTensor]
 ) -> DenseTensor:
@@ -276,29 +315,49 @@ def apply_diagram(
     order, then free lowers in operand order).  The contraction runs in the
     pairwise order compiled once per diagram by `_einsum_plan`.
     """
-    shapes = tuple(t.shape for t in operands)
-    if shapes != diagram.operand_shapes:
-        raise ValueError(
-            f"operand shapes {tuple(map(str, shapes))} do not match diagram "
-            f"{tuple(map(str, diagram.operand_shapes))}"
-        )
-    dims = {t.dim for t in operands}
+    dim, arrays = _stack([operands], diagram.operand_shapes)
+    return DenseTensor._own(diagram.output_shape, dim, _contract(diagram, arrays)[0, ...])
+
+
+def _stack(
+    trials: Sequence[Sequence[DenseTensor]], shapes: tuple[TensorShape, ...]
+) -> tuple[int, list[np.ndarray]]:
+    """The operands of a batch of trials as one (n, dim, ...) array per position.
+
+    Each trial's operands must have `shapes`, and all of them one dimension,
+    which is returned with the arrays.
+    """
+    for operands in trials:
+        got = tuple(t.shape for t in operands)
+        if got != shapes:
+            raise ValueError(
+                f"operand shapes {tuple(map(str, got))} do not match "
+                f"{tuple(map(str, shapes))}"
+            )
+    dims = {t.dim for operands in trials for t in operands}
     if len(dims) != 1:
         raise ValueError(f"operands have mixed dimensions: {sorted(dims)}")
-    dim = dims.pop()
-    steps, final_subs, out_sub, out_shape = _einsum_plan(diagram)
-    arrays = [t.data for t in operands]
-    for i, j, sub_i, sub_j, sub_kept in steps:
-        b = arrays.pop(j)
-        a = arrays.pop(i)
-        arrays.append(np.einsum(a, sub_i, b, sub_j, sub_kept))
-    args: list = []
-    for a, s in zip(arrays, final_subs):
-        args.append(a)
-        args.append(s)
-    args.append(out_sub)
-    out = np.einsum(*args)
-    return DenseTensor(out_shape, dim, np.asarray(out))
+    return dims.pop(), [np.stack([ops[k].data for ops in trials]) for k in range(len(shapes))]
+
+
+def _columns(coefficients: Sequence, order: int):
+    """Per-trial coefficient dataclasses as one instance whose fields are
+    (n, 1, ..., 1) columns, broadcasting over tensors of the given order."""
+    shape = (-1,) + (1,) * order
+    return type(coefficients[0])(*(
+        np.array([getattr(c, f.name) for c in coefficients], dtype=np.complex128).reshape(shape)
+        for f in fields(coefficients[0])
+    ))
+
+
+_BATCH = 32  # trials per batched evaluation: memory stays bounded at any seed count
+
+
+def _batches(trials: Iterable) -> Iterator[list]:
+    """Consecutive lists of at most _BATCH trials, drawn lazily."""
+    it = iter(trials)
+    while chunk := list(itertools.islice(it, _BATCH)):
+        yield chunk
 
 
 def random_tensor(shape: TensorShape, dim: int, seed: int) -> DenseTensor:
@@ -315,7 +374,7 @@ def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> Dens
     size = (dim,) * shape.order
     re = rng.uniform(-1.0, 1.0, size)
     im = rng.uniform(-1.0, 1.0, size)
-    return DenseTensor(shape, dim, re + 1j * im)
+    return DenseTensor._own(shape, dim, re + 1j * im)
 
 
 def _random_complexes(seed: int, n: int) -> list[complex]:

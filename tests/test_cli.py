@@ -1,13 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import tidlab.cli
 import tidlab.matrixops
 from tidlab.cli import CHECKS, RunConfig, main, parse_seeds, parse_shapes
-from tidlab.graded import convention_search
-from tidlab.tensors import TensorShape
+from tidlab.graded import CROSSED, ChainConvention, convention_search
+from tidlab.matrixops import Phi2Params
+from tidlab.tensors import _BATCH, TensorShape
 
 
 def run(capsys, argv):
@@ -402,3 +404,47 @@ def test_verify_descriptor_not_json_names_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv, env, source, form",
+    [
+        (["--seeds", "1..x"], None, "--seeds", "'1..100'"),
+        (["--seeds", "1,,2"], None, "--seeds", "'1..100'"),
+        ([], "abc", "TIDLAB_SEED", "'1..100'"),
+        (["--alpha", "abc"], None, "--alpha", "complex literal"),
+        (["--weights", "a,b,c"], None, "--weights", "complex literal"),
+    ],
+)
+def test_malformed_number_names_its_source(capsys, monkeypatch, argv, env, source, form):
+    monkeypatch.delenv("TIDLAB_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("TIDLAB_SEED", env)
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, ["verify", "cyclic16", *argv, *json_flag])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {source} takes ") and form in err
+
+
+_SEEDS = tuple(range(1, 41))
+_CROSSED = ChainConvention(high_r2l=CROSSED, low_l2r=CROSSED)
+_BATCH_CASES = [
+    *(pytest.param(c.name, {"dim": dim}, id=f"{c.name}-d{dim}")
+      for c in CHECKS if c.kind == "numeric" for dim in (2, 3)),
+    *(pytest.param(name, {"dim": dim, "weights": "random-constrained"}, id=f"{name}-d{dim}-random")
+      for name in ("cyclic16/numeric", "identity18/numeric") for dim in (2, 3)),
+    *(pytest.param(name, {"dim": 3, "convention": _CROSSED}, id=f"{name}-d3-{_CROSSED.label()}")
+      for name in ("cyclic16/numeric", "identity18/numeric")),
+    pytest.param("jacobi/numeric", {"dim": 3, "params": Phi2Params(0.5, -0.5, 1j, -2j)}, id="jacobi-d3-params"),
+]
+
+
+@pytest.mark.parametrize("name, settings", _BATCH_CASES)
+def test_batched_residual_equals_single_seed_runs(name, settings):
+    """A row's residual over many seeds is bit-equal to the worst of its one-seed runs."""
+    (check,) = [c for c in CHECKS if c.name == name]
+    cfg = RunConfig(seeds=_SEEDS, **settings)
+    assert len(_SEEDS) > _BATCH  # the run spans several batches
+    singles = [check.run(replace(cfg, seeds=(seed,))).residual for seed in _SEEDS]
+    assert check.run(cfg).residual == max(singles)

@@ -3,6 +3,8 @@ import pytest
 
 from tidlab.graded import (
     _CHAINS,
+    _evaluate,
+    _identity18,
     CANONICAL_CONVENTION,
     CROSSED,
     PARALLEL,
@@ -268,3 +270,16 @@ def test_word_generators_degenerate_three_symbol():
 def test_word_generators_rejects_repeats():
     with pytest.raises(ValueError):
         word_generators(GradedWord(("A", "B", "A"), HIGH))
+
+
+def test_identity18_residual_is_a_slice_of_the_batch():
+    conv = ChainConvention(high_l2r=CROSSED, low_r2l=CROSSED)
+    trials = [
+        ([random_graded_pair(3, 10 * seed + i) for i in range(5)], TernaryWeights.random_zero_sum(seed))
+        for seed in range(40)
+    ]
+    for (res, pairs), (ops, w) in zip(_evaluate(_identity18, trials, conv), trials):
+        assert pairs is ops
+        one = identity18_residual(*ops, w, conv)
+        assert res.low.data.tobytes() == one.low.data.tobytes()
+        assert res.high.data.tobytes() == one.high.data.tobytes()

@@ -3,6 +3,8 @@ import pytest
 
 from tidlab.matrixops import (
     Phi2Params,
+    _evaluate,
+    _phi4,
     closed_remainder,
     identity6_residual,
     jacobi_cyclic_residual,
@@ -160,3 +162,10 @@ def test_relative_residual_scale_invariance():
     scaled = [m * 10.0 for m in mats]
     res2 = jacobi_cyclic_residual(*scaled, Phi2Params(1, 1, 0, 0))
     assert relative_residual(res2, scaled) == pytest.approx(r1, rel=1e-12)
+
+
+def test_phi4_is_a_slice_of_the_batch():
+    trials = [(rand_mats(3, seed, 4), rand_constrained(seed)) for seed in range(40)]
+    for (res, mats), (ops, p) in zip(_evaluate(_phi4, trials), trials):
+        assert mats is ops
+        assert res.data.tobytes() == phi4(*ops, p).data.tobytes()

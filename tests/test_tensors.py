@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotRef, enumerate_diagrams
-from tidlab.graded import _CHAINS
+from tidlab.graded import _CHAINS, TernaryWeights, random_graded_pair, three_commutator
+from tidlab.matrixops import _PHI2_DIAGRAMS, Phi2Params, phi2
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
@@ -254,3 +255,20 @@ def test_chain_plans_span_at_most_four_labels():
         spans.append(set(itertools.chain(out_sub, *final_subs)))
         assert len(steps) == 1
         assert max(map(len, spans)) <= 4
+
+
+def test_user_arrays_are_copied_and_results_read_only():
+    arr = np.arange(4, dtype=complex).reshape(2, 2)
+    t = DenseTensor(MAT, 2, arr)
+    arr[0, 0] = 99
+    assert t.data[0, 0] == 0
+
+    a, b = random_tensor(MAT, 3, 1), random_tensor(MAT, 3, 2)
+    x, y, z = (random_graded_pair(3, seed) for seed in range(3))
+    bracket = three_commutator(x, y, z, TernaryWeights.canonical())
+    results = [apply_diagram(d, [a, b]) for d in _PHI2_DIAGRAMS]
+    results += [phi2(a, b, Phi2Params.traced_commutator()), bracket.low, bracket.high, a + b, -a, 2 * a]
+    for r in results:
+        assert not r.data.flags.writeable
+        with pytest.raises(ValueError):
+            r.data[(0,) * r.data.ndim] = 1
