@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .diagrams import EnumOptions, classify_by_output, enumerate_diagrams
 from .graded import (
@@ -52,7 +52,7 @@ from .words import (
     verify_identity6_symbolic,
     verify_identity18_symbolic,
 )
-from .cyclo import WeightPoly
+from .cyclo import _E1
 
 SCHEMA = "tidlab/1"
 WEIGHT_MODES = ("canonical", "random-constrained")
@@ -78,6 +78,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance_rel) and self.tolerance_rel > 0):
             raise ValueError("tolerance must be positive and finite")
+        if not self.seeds:
+            raise ValueError("seeds must be non-empty")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be non-negative")
         if self.dim < 1:
@@ -156,66 +158,65 @@ def _mats(cfg: RunConfig, seed: int, n: int) -> list:
     return [random_tensor(_MAT, cfg.dim, s) for s in _trial_seeds(seed, n)]
 
 
-def _jacobi_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    return _evaluate(_jacobi, ((_mats(cfg, seed, 3), cfg.params) for seed in seeds))
+def _jacobi_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    return _evaluate(_jacobi, ((_mats(cfg, seed, 3), cfg.params) for seed in cfg.seeds))
 
 
-def _identity6_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    trials = ((mats, params) for seed in seeds for mats in [_mats(cfg, seed, 4)]
+def _identity6_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    trials = ((mats, params) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
               for params in (Phi2Params.traced_commutator(), _rand_params(seed)))
     return _evaluate(_identity6, trials)
 
 
-def _phi4_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    trials = ((mats, _rand_params(seed * 1000 + k)) for seed in seeds for mats in [_mats(cfg, seed, 4)]
+def _phi4_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    trials = ((mats, _rand_params(seed * 1000 + k)) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
               for k in range(5))
     return _evaluate(_phi4, trials)
 
 
-def _appendix1_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    trials = ((_mats(cfg, seed, 3), Phi2Params.traced_commutator()) for seed in seeds)
+def _appendix1_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    trials = ((_mats(cfg, seed, 3), Phi2Params.traced_commutator()) for seed in cfg.seeds)
     for res, mats in _evaluate(_jacobi, trials):
         yield res - closed_remainder(*mats), mats
 
 
-def _cyclic16_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    trials = ((_trial_pairs(cfg.dim, seed, 3), cfg.ternary_weights(seed)) for seed in seeds)
+def _cyclic16_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    trials = ((_trial_pairs(cfg.dim, seed, 3), cfg.ternary_weights(seed)) for seed in cfg.seeds)
     return _evaluate_graded(_cyclic, trials, cfg.convention)
 
 
-def _identity18_numeric(cfg: RunConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    trials = ((_trial_pairs(cfg.dim, seed, 5), cfg.ternary_weights(seed)) for seed in seeds)
+def _identity18_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    trials = ((_trial_pairs(cfg.dim, seed, 5), cfg.ternary_weights(seed)) for seed in cfg.seeds)
     return _evaluate_graded(_identity18, trials, cfg.convention)
 
 
-def _identity6_symbolic() -> tuple[bool, str]:
+def _identity6_symbolic(cfg: RunConfig) -> tuple[bool, str]:
     report = verify_identity6_symbolic()
     return report.passed, "zero-sum" if report.passed else f"{len(report.offending)} residual words"
 
 
-def _phi4_symbolic() -> tuple[bool, str]:
+def _phi4_symbolic(cfg: RunConfig) -> tuple[bool, str]:
     result = phi4_symbolic(*(symbol_word(s) for s in "ABCD"), constrained_params())
     return result.is_zero(), "zero-sum" if result.is_zero() else f"{len(result)} words"
 
 
-def _appendix1_symbolic() -> tuple[bool, str]:
+def _appendix1_symbolic(cfg: RunConfig) -> tuple[bool, str]:
     lhs = cyclic_sum_symbolic("A", "B", "C", constrained_params())
     ok = lhs == closed_remainder_symbolic("A", "B", "C")
     return ok, "exact-match" if ok else "mismatch"
 
 
-def _cyclic16_symbolic() -> tuple[bool, str]:
+def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
     total = (
         expand_three_commutator_symbolic("X", "Y", "Z")
         + expand_three_commutator_symbolic("Z", "X", "Y")
         + expand_three_commutator_symbolic("Y", "Z", "X")
     )
-    e1 = WeightPoly.variable("alpha") + WeightPoly.variable("beta") + WeightPoly.variable("gamma")
-    ok = len(total) == 12 and all(c == e1 for _, c in total.sorted_terms())
+    ok = len(total) == 12 and all(c == _E1 for _, c in total.sorted_terms())
     return ok, "per-word alpha+beta+gamma" if ok else "unexpected coefficients"
 
 
-def _appendix2_exact() -> tuple[bool, str]:
+def _appendix2_exact(cfg: RunConfig) -> tuple[bool, str]:
     report = verify_identity18_symbolic(canonical_cubic_weights())
     if not report.passed:
         return False, "; ".join(report.failures[:4])
@@ -245,16 +246,16 @@ _CONSTRAINED = {"params": "beta=-alpha, delta=-gamma"}
 class Check:
     """One row of the check table.
 
-    A numeric body takes all of the run's seeds and returns their
-    (residual, operands) trials in seed order, evaluated in batches of
-    trials, for `worst_residual`; a symbolic body returns (passed, digest).
+    `body(cfg)` of a numeric row returns the (residual, operands) trials of
+    `cfg.seeds` in seed order, evaluated in batches of trials, for
+    `worst_residual`; of a symbolic row, (passed, digest).
     `params` gives the row's report params.
     """
 
     name: str
     suites: tuple[str, ...]
     kind: str  # "numeric" or "symbolic"
-    body: Callable
+    body: Callable[[RunConfig], object]
     params: Callable[[RunConfig], dict]
 
     def selected(self, suite: str, mode: str) -> bool:
@@ -264,14 +265,15 @@ class Check:
 
     def run(self, cfg: RunConfig) -> CheckReport:
         start = time.perf_counter()
+        out = self.body(cfg)
         residual = digest = None
         if self.kind == "numeric":
-            residual = worst_residual(self.body(cfg, cfg.seeds))
+            residual = worst_residual(out)
             passed = residual <= cfg.tolerance_rel
             if not math.isfinite(residual):
                 digest = "non-finite residual"
         else:
-            passed, digest = self.body()
+            passed, digest = out
         elapsed = time.perf_counter() - start
         return CheckReport(self.name, self.params(cfg), passed, residual, digest, elapsed)
 
@@ -312,9 +314,9 @@ def parse_seeds(text: str, source: str = "--seeds") -> tuple[int, ...]:
     try:
         seeds = tuple(range(int(lo), int(hi) + 1)) if dots else tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"{source} takes {SEED_FORMS}, got {text!r}") from None
+        seeds = ()
     if not seeds:
-        raise ValueError(f"empty seed range {text!r}")
+        raise ValueError(f"{source} takes {SEED_FORMS}, got {text!r}")
     return seeds
 
 

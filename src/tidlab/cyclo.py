@@ -279,7 +279,7 @@ class WeightPoly:
             for name, exp in zip(VARS, mono):
                 if exp == 0:
                     continue
-                base = assignment.get(name, WeightPoly.variable(name))
+                base = assignment.get(name, _VAR[name])
                 term = term * base**exp
             out = out + term
         return out
@@ -323,14 +323,13 @@ class WeightPoly:
         lead = divisor.coefficient_of(name, d)
         if lead != WeightPoly.one():
             raise ValueError(f"divisor is not monic in {name!r}")
-        var = WeightPoly.variable(name)
         quotient = WeightPoly.zero()
         rem = self
         while True:
             rdeg = rem.degree_in(name)
             if rdeg < d:
                 return quotient, rem
-            piece = rem.coefficient_of(name, rdeg) * var ** (rdeg - d)
+            piece = rem.coefficient_of(name, rdeg) * _VAR[name] ** (rdeg - d)
             quotient = quotient + piece
             rem = rem - piece * divisor
 
@@ -357,6 +356,10 @@ class WeightPoly:
         return f"WeightPoly({self})"
 
 
+_VAR = {name: WeightPoly.variable(name) for name in VARS}
+_E1 = _VAR["alpha"] + _VAR["beta"] + _VAR["gamma"]
+
+
 def symmetric_ideal_membership(
     poly: WeightPoly,
 ) -> tuple[WeightPoly, WeightPoly, WeightPoly]:
@@ -366,12 +369,10 @@ def symmetric_ideal_membership(
     elementary symmetric functions of (alpha, beta, gamma) holds exactly when
     r is zero.  Division is exact, not a radical test.
     """
-    va, vb, vg = (WeightPoly.variable(v) for v in ("alpha", "beta", "gamma"))
-    e1 = va + vb + vg
-    e2 = va * vb + vb * vg + vg * va
+    va, vb = _VAR["alpha"], _VAR["beta"]
     # reduce by e1 in gamma: p = q1*e1 + r1 with r1 free of gamma beyond
     # substitution gamma -> -alpha-beta
-    q1, r1 = poly.divmod_in_var(e1, "gamma")
+    q1, r1 = poly.divmod_in_var(_E1, "gamma")
     # e2 = (alpha+beta)*e1 - s with s = alpha^2 + alpha*beta + beta^2
     s = va * va + va * vb + vb * vb
     c, r = r1.divmod_in_var(s, "alpha")

@@ -147,12 +147,6 @@ class TernaryWeights:
         """Second elementary symmetric function of the weights."""
         return self.alpha * self.beta + self.beta * self.gamma + self.gamma * self.alpha
 
-    def as_dict(self) -> dict[str, complex]:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
-
-    def by_name(self, name: str) -> complex:
-        return getattr(self, name)
-
 
 def _chain(shapes: tuple[TensorShape, ...]) -> ContractionDiagram:
     """The parallel left-to-right chain: each operand's uppers feed the next
@@ -172,10 +166,10 @@ _CHAINS = {
     HIGH: _chain((_HIGH_SHAPE, _LOW_SHAPE, _HIGH_SHAPE)),
     LOW: _chain((_LOW_SHAPE, _HIGH_SHAPE, _LOW_SHAPE)),
 }
-# word kind -> (outer component, middle component, axes swapping a batch of
-# middles' doubled-edge slots: the lowers of a (1,2) middle, the uppers of a
-# (2,1) one)
-_WORD_PARTS = {HIGH: (HIGH, LOW, (0, 1, 3, 2)), LOW: (LOW, HIGH, (0, 2, 1, 3))}
+# word kind, which is also its outer component -> (middle component, axes
+# swapping a batch of middles' doubled-edge slots: the lowers of a (1,2)
+# middle, the uppers of a (2,1) one)
+_WORD_PARTS = {HIGH: (LOW, (0, 1, 3, 2)), LOW: (HIGH, (0, 2, 1, 3))}
 
 
 @dataclass(frozen=True)
@@ -288,11 +282,11 @@ def _three_commutator(x, y, z, weights, convention):
     v = astuple(convention)  # field order: high (l2r, r2l), then low (l2r, r2l)
     pairings = {HIGH: v[:2], LOW: v[2:]}
     out = {}
-    for kind, (outer, middle, swap) in _WORD_PARTS.items():
-        ends = [arg[outer] for arg in args]
+    for kind, (middle, swap) in _WORD_PARTS.items():
+        ends = [arg[kind] for arg in args]
         mids = [_fold_middle(arg[middle], swap, pairings[kind]) for arg in args]
         terms = [
-            _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * weights.by_name(w)
+            _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * getattr(weights, w)
             for (i, j, k), w in BRACKET_WORD_ORDER
         ]
         out[kind] = sum(terms[1:], terms[0])
@@ -322,7 +316,7 @@ def _evaluate(fn, trials, convention: ChainConvention):
         args = [{LOW: low, HIGH: high} for low, high in zip(arrays[::2], arrays[1::2])]
         out = fn(*args, _columns([w for _, w in chunk], 3), convention)
         for (pairs, _), low, high in zip(chunk, out[LOW], out[HIGH]):
-            yield GradedPair(DenseTensor._own(_LOW_SHAPE, dim, low), DenseTensor._own(_HIGH_SHAPE, dim, high)), pairs
+            yield GradedPair(DenseTensor(_LOW_SHAPE, dim, low), DenseTensor(_HIGH_SHAPE, dim, high)), pairs
 
 
 def _one(fn, pairs, weights: TernaryWeights, convention: ChainConvention) -> GradedPair:

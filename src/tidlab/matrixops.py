@@ -160,7 +160,7 @@ def _evaluate(fn, trials: Iterable[tuple[Sequence[DenseTensor], Phi2Params]]):
         dim, arrays = _stack([ops for ops, _ in chunk], (_MAT,) * len(chunk[0][0]))
         out = fn(*arrays, _columns([p for _, p in chunk], 2))
         for res, (ops, _) in zip(out, chunk):
-            yield DenseTensor._own(_MAT, dim, res), ops
+            yield DenseTensor(_MAT, dim, res), ops
 
 
 def _one(fn, operands, p: Phi2Params) -> DenseTensor:
@@ -203,12 +203,13 @@ def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
     """The largest `relative_residual` over (residual, operands) trials.
 
     Fails closed: a NaN or infinite residual makes the result `math.inf`, which
-    no tolerance passes (a plain `max` would drop a NaN).
+    no tolerance passes (a plain `max` would drop a NaN), and so does an empty
+    stream, since no trial is no evidence.
     """
-    worst = 0.0
+    worst = None
     for residual, operands in trials:
         r = relative_residual(residual, operands)
         if not math.isfinite(r):
             return math.inf
-        worst = max(worst, r)
-    return worst
+        worst = r if worst is None else max(worst, r)
+    return math.inf if worst is None else worst

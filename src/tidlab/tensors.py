@@ -68,7 +68,8 @@ def grading(shape: TensorShape) -> int:
 class DenseTensor:
     """Immutable dense tensor with complex entries.
 
-    `data` has shape (dim,)*(upper+lower), upper axes first.
+    `data` is the tensor's own read-only copy of its entries, of shape
+    (dim,)*(upper+lower), upper axes first.
     """
 
     __slots__ = ("shape", "dim", "data")
@@ -82,20 +83,10 @@ class DenseTensor:
             raise ValueError(
                 f"data shape {arr.shape} does not match {shape} at dim {dim}"
             )
-        self._freeze(shape, dim, arr)
-
-    def _freeze(self, shape: TensorShape, dim: int, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def _own(cls, shape: TensorShape, dim: int, arr: np.ndarray) -> "DenseTensor":
-        """Take a complex128 array the package has just built, without a copy."""
-        t = object.__new__(cls)
-        t._freeze(shape, dim, np.asarray(arr))  # a 0-d ufunc result is a numpy scalar
-        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
@@ -137,17 +128,17 @@ class DenseTensor:
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         self._check_like(other)
-        return DenseTensor._own(self.shape, self.dim, self.data + other.data)
+        return DenseTensor(self.shape, self.dim, self.data + other.data)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
         self._check_like(other)
-        return DenseTensor._own(self.shape, self.dim, self.data - other.data)
+        return DenseTensor(self.shape, self.dim, self.data - other.data)
 
     def __neg__(self) -> "DenseTensor":
-        return DenseTensor._own(self.shape, self.dim, -self.data)
+        return DenseTensor(self.shape, self.dim, -self.data)
 
     def __mul__(self, scalar: complex) -> "DenseTensor":
-        return DenseTensor._own(self.shape, self.dim, self.data * complex(scalar))
+        return DenseTensor(self.shape, self.dim, self.data * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -316,7 +307,7 @@ def apply_diagram(
     pairwise order compiled once per diagram by `_einsum_plan`.
     """
     dim, arrays = _stack([operands], diagram.operand_shapes)
-    return DenseTensor._own(diagram.output_shape, dim, _contract(diagram, arrays)[0, ...])
+    return DenseTensor(diagram.output_shape, dim, _contract(diagram, arrays)[0])
 
 
 def _stack(
@@ -374,7 +365,7 @@ def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> Dens
     size = (dim,) * shape.order
     re = rng.uniform(-1.0, 1.0, size)
     im = rng.uniform(-1.0, 1.0, size)
-    return DenseTensor._own(shape, dim, re + 1j * im)
+    return DenseTensor(shape, dim, re + 1j * im)
 
 
 def _random_complexes(seed: int, n: int) -> list[complex]:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .cyclo import VARS, CycloScalar, WeightPoly, symmetric_ideal_membership
+from .cyclo import _VAR, VARS, CycloScalar, WeightPoly, symmetric_ideal_membership
 
 __all__ = [
     "TraceWord",
@@ -227,13 +227,12 @@ def symbol_word(name: str) -> FormalSum:
 
 def generic_params() -> tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly]:
     """Fully symbolic deformation parameters (alpha, beta, gamma, delta)."""
-    return tuple(WeightPoly.variable(v) for v in VARS)  # type: ignore[return-value]
+    return tuple(_VAR.values())  # type: ignore[return-value]
 
 
 def constrained_params() -> tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly]:
     """Parameters with beta = -alpha and delta = -gamma imposed."""
-    va = WeightPoly.variable("alpha")
-    vg = WeightPoly.variable("gamma")
+    va, vg = _VAR["alpha"], _VAR["gamma"]
     return va, -va, vg, -vg
 
 
@@ -291,7 +290,7 @@ def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
     This is the exact value of the cyclic sum under beta = -alpha,
     delta = -gamma.
     """
-    ag = WeightPoly.variable("alpha") * WeightPoly.variable("gamma")
+    ag = _VAR["alpha"] * _VAR["gamma"]
     terms: dict = {}
     for tr, plus, minus in ((a, (c, b), (b, c)), (b, (a, c), (c, a)), (c, (b, a), (a, b))):
         terms[TraceWord(plus, ((tr,),))] = ag
@@ -382,7 +381,7 @@ BRACKET_WORD_ORDER: tuple[tuple[tuple[int, int, int], str], ...] = (
 
 def _bracket_weights(weights) -> dict[str, WeightPoly]:
     if weights is None:
-        return {v: WeightPoly.variable(v) for v in ("alpha", "beta", "gamma")}
+        return {v: _VAR[v] for v in ("alpha", "beta", "gamma")}
     wa, wb, wg = weights
     return {"alpha": _as_poly(wa), "beta": _as_poly(wb), "gamma": _as_poly(wg)}
 
@@ -448,9 +447,7 @@ def expand_identity18_instances() -> list[WordInstance]:
 
 
 def _weight_class_polys() -> dict[str, WeightPoly]:
-    a = WeightPoly.variable("alpha")
-    b = WeightPoly.variable("beta")
-    g = WeightPoly.variable("gamma")
+    a, b, g = _VAR["alpha"], _VAR["beta"], _VAR["gamma"]
     return {
         "Eq1": 2 * (b * g + g * a + a * b),
         "Eq2": g * g + g * a + g * b + b * b + b * a + b * g,
@@ -587,7 +584,7 @@ def verify_identity18_symbolic(weights="symbolic") -> Identity18Report:
             word_equation[w] = name
     equation_counts = dict(Counter(word_equation.values()))
 
-    assignment = dict(zip(("alpha", "beta", "gamma"), cyclo_weights))
+    assignment = dict(zip(VARS, cyclo_weights))
     equation_values = {
         name: eq.evaluate_cyclo(assignment)
         for name, eq in WEIGHT_CLASS_POLYS.items()
@@ -631,12 +628,14 @@ def build_class_table(
     never generate a class word (its window would need a position-2 or
     position-4 symbol), which is reported via `excluded_subset`.
     """
+    if kind not in (HIGH, LOW):
+        raise ValueError(f"kind must be {HIGH!r} or {LOW!r}, got {kind!r}")
     pair = frozenset(pair)
-    if len(pair) != 2:
-        raise ValueError("class key must be two distinct symbols")
     if instances is None:
         instances = expand_identity18_instances()
     symbols = sorted({s for inst in instances for s in inst.word.symbols})
+    if len(pair) != 2 or not pair <= set(symbols):
+        raise ValueError(f"class key must be two distinct symbols of {''.join(symbols)}, got {sorted(pair)}")
     subsets = sorted(
         "".join(sub) for sub in itertools.combinations(symbols, 3)
     )

@@ -1,0 +1,36 @@
+"""The benchmark's trace hooks still fit the package.
+
+`bench/spans.py` patches the arithmetic methods it times on the class that
+defines them, so a refactor that moves one to a base class or renames it
+breaks a traced benchmark run; this test catches that in the unit suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import tidlab.cli
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_recorder_installs_runs_and_restores(capsys):
+    recorder = _load_spans().SpanRecorder()
+    try:
+        recorder.install()
+        patched = list(recorder._patches)
+        code = tidlab.cli.main(["verify", "jacobi", "--dim", "2", "--seeds", "1", "--json"])
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert len(recorder) > 0
+    assert patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)

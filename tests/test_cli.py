@@ -310,6 +310,11 @@ def test_explicitly_empty_value_usage_error(capsys, monkeypatch, argv):
     assert err.startswith("error:")
 
 
+def test_run_config_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="seeds must be non-empty"):
+        RunConfig(seeds=())
+
+
 def test_run_config_weights(capsys):
     with pytest.raises(ValueError, match="unknown weights mode"):
         RunConfig(weights="bogus")
@@ -414,6 +419,8 @@ def test_verify_descriptor_not_json_names_file(tmp_path, capsys):
         ([], "abc", "TIDLAB_SEED", "'1..100'"),
         (["--alpha", "abc"], None, "--alpha", "complex literal"),
         (["--weights", "a,b,c"], None, "--weights", "complex literal"),
+        (["--seeds", "3..1"], None, "--seeds", "'1..100'"),
+        ([], "3..1", "TIDLAB_SEED", "'1..100'"),
     ],
 )
 def test_malformed_number_names_its_source(capsys, monkeypatch, argv, env, source, form):

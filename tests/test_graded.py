@@ -243,6 +243,11 @@ def test_convention_search_survivors():
     assert all(t.identity18_max > 1e-6 for t in failed)
 
 
+def test_convention_search_without_seeds_has_no_survivors():
+    _, survivors = convention_search(dim=2, seeds=())
+    assert survivors == []
+
+
 def test_word_generators_five_symbol():
     word = GradedWord(tuple("ABCDE"), HIGH)
     assert word_generators(word) == [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from tidlab.matrixops import (
     phi3,
     phi4,
     relative_residual,
+    worst_residual,
 )
 from tidlab.tensors import DenseTensor, TensorShape, kronecker_delta, random_tensor
 
@@ -169,3 +172,7 @@ def test_phi4_is_a_slice_of_the_batch():
     for (res, mats), (ops, p) in zip(_evaluate(_phi4, trials), trials):
         assert mats is ops
         assert res.data.tobytes() == phi4(*ops, p).data.tobytes()
+
+
+def test_worst_residual_of_no_trials_fails_closed():
+    assert worst_residual(iter(())) == math.inf

@@ -6,7 +6,7 @@ import pytest
 
 from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotRef, enumerate_diagrams
 from tidlab.graded import _CHAINS, TernaryWeights, random_graded_pair, three_commutator
-from tidlab.matrixops import _PHI2_DIAGRAMS, Phi2Params, phi2
+from tidlab.matrixops import _PHI2_DIAGRAMS, _evaluate, _jacobi, Phi2Params, phi2
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
@@ -272,3 +272,15 @@ def test_user_arrays_are_copied_and_results_read_only():
         assert not r.data.flags.writeable
         with pytest.raises(ValueError):
             r.data[(0,) * r.data.ndim] = 1
+
+
+def test_results_own_their_entries():
+    a, b = random_tensor(MAT, 3, 1), random_tensor(MAT, 3, 2)
+    x, y, z = (random_graded_pair(3, seed) for seed in range(3))
+    bracket = three_commutator(x, y, z, TernaryWeights.canonical())
+    results = [apply_diagram(d, [a, b]) for d in _PHI2_DIAGRAMS]
+    results += [phi2(a, b, Phi2Params.traced_commutator()), bracket.low, bracket.high, a + b]
+    trials = [([a, b, random_tensor(MAT, 3, seed)], Phi2Params()) for seed in range(3)]
+    results += [res for res, _ in _evaluate(_jacobi, trials)]
+    for r in results:
+        assert r.data.base is None

@@ -382,6 +382,12 @@ def test_instance_sequence_digest():
     assert _digest(sequence) == INSTANCE_SEQUENCE_DIGEST
 
 
+@pytest.mark.parametrize("pair, kind", [(("A", "Z"), HIGH), (("A", "A"), HIGH), (("A", "B"), "bogus")])
+def test_class_table_rejects_unknown_class(pair, kind):
+    with pytest.raises(ValueError):
+        build_class_table(pair, kind)
+
+
 def test_class_table_digests():
     instances = expand_identity18_instances()
     for (pair, kind), expected in CLASS_TABLE_DIGESTS.items():
