@@ -29,7 +29,6 @@ from .graded import (
     identity18_residual,
     random_graded_pair,
     three_commutator,
-    word_generators,
 )
 from .matrixops import (
     Phi2Params,
@@ -69,6 +68,7 @@ from .words import (
     symbol_word,
     verify_identity6_symbolic,
     verify_identity18_symbolic,
+    word_generators,
 )
 
 __version__ = "0.1.0"

@@ -8,14 +8,13 @@ status: 0 all checks pass, 1 any check fails, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Iterator, Optional, Union
 
 from .diagrams import EnumOptions, classify_by_output, enumerate_diagrams
@@ -89,8 +88,9 @@ class RunConfig:
         if isinstance(self.weights, str) and self.weights not in WEIGHT_MODES:
             raise ValueError(f"unknown weights mode {self.weights!r}")
         explicit = () if isinstance(self.weights, str) else self.weights
-        if not all(map(cmath.isfinite, (*self.params.as_dict().values(), *explicit))):
-            raise ValueError("product coefficients and weights must be finite")
+        moduli = [math.hypot(c.real, c.imag) for c in (*self.params.as_dict().values(), *explicit)]
+        if not all(map(math.isfinite, moduli)):
+            raise ValueError("product coefficients and weights must have a finite modulus")
 
     def weights_name(self) -> str:
         """The weights as reports name them: the mode, or "explicit" for a triple."""
@@ -150,8 +150,20 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _unit(coeffs):
+    """`coeffs` (a Phi2Params or TernaryWeights) scaled so the largest modulus is 1.
+
+    Every identity is homogeneous in its coefficients, so a verdict must not
+    depend on their size.  A zero tuple is returned as it is.  `RunConfig`
+    has checked that every modulus is finite, so `abs` cannot overflow.
+    """
+    values = astuple(coeffs)
+    top = max(map(abs, values))
+    return type(coeffs)(*(v / top for v in values)) if top else coeffs
+
+
 def _rand_params(seed: int) -> Phi2Params:
-    return Phi2Params.constrained(*_random_complexes(seed, 2))
+    return _unit(Phi2Params.constrained(*_random_complexes(seed, 2)))
 
 
 def _mats(cfg: RunConfig, seed: int, n: int) -> list:
@@ -159,7 +171,7 @@ def _mats(cfg: RunConfig, seed: int, n: int) -> list:
 
 
 def _jacobi_numeric(cfg: RunConfig) -> Iterator[tuple]:
-    return _evaluate(_jacobi, ((_mats(cfg, seed, 3), cfg.params) for seed in cfg.seeds))
+    return _evaluate(_jacobi, ((_mats(cfg, seed, 3), _unit(cfg.params)) for seed in cfg.seeds))
 
 
 def _identity6_numeric(cfg: RunConfig) -> Iterator[tuple]:
@@ -181,12 +193,12 @@ def _appendix1_numeric(cfg: RunConfig) -> Iterator[tuple]:
 
 
 def _cyclic16_numeric(cfg: RunConfig) -> Iterator[tuple]:
-    trials = ((_trial_pairs(cfg.dim, seed, 3), cfg.ternary_weights(seed)) for seed in cfg.seeds)
+    trials = ((_trial_pairs(cfg.dim, seed, 3), _unit(cfg.ternary_weights(seed))) for seed in cfg.seeds)
     return _evaluate_graded(_cyclic, trials, cfg.convention)
 
 
 def _identity18_numeric(cfg: RunConfig) -> Iterator[tuple]:
-    trials = ((_trial_pairs(cfg.dim, seed, 5), cfg.ternary_weights(seed)) for seed in cfg.seeds)
+    trials = ((_trial_pairs(cfg.dim, seed, 5), _unit(cfg.ternary_weights(seed))) for seed in cfg.seeds)
     return _evaluate_graded(_identity18, trials, cfg.convention)
 
 
@@ -475,12 +487,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_convention_search(args: argparse.Namespace) -> int:
     try:
         cfg = RunConfig(dim=args.dim, seeds=default_seeds(args.seeds), tolerance_rel=args.tol)
+        trials, survivors = convention_search(dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    trials, survivors = convention_search(
-        dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel
-    )
     descriptor = {
         "schema": SCHEMA,
         "kind": "chain_convention",

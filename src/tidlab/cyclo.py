@@ -10,10 +10,11 @@ raises TypeError, so no float ever enters an exact path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
+
+from .definitions import OMEGA
 
 __all__ = ["CycloScalar", "WeightPoly", "VARS", "symmetric_ideal_membership"]
 
@@ -131,7 +132,7 @@ class CycloScalar:
 
     def to_complex(self) -> complex:
         """Numeric embedding with w = -1/2 + i*sqrt(3)/2."""
-        return complex(self.a) + complex(self.b) * complex(-0.5, math.sqrt(3.0) / 2.0)
+        return complex(self.a) + complex(self.b) * OMEGA
 
     def __str__(self) -> str:
         if self.b == 0:

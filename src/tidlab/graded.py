@@ -24,18 +24,12 @@ from functools import partial
 
 import numpy as np
 
-from .cyclo import CycloScalar
+from . import definitions
+from .definitions import HIGH, LOW, OMEGA
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
 from .matrixops import relative_residual, worst_residual
 from .tensors import (
     DenseTensor, TensorShape, _batches, _columns, _contract, _random_complexes, _random_draw, _stack, _trial_seeds
-)
-from .words import (
-    BRACKET_WORD_ORDER,
-    HIGH,
-    IDENTITY18_TERMS,
-    LOW,
-    GradedWord,
 )
 
 __all__ = [
@@ -48,7 +42,6 @@ __all__ = [
     "three_commutator",
     "cyclic_residual",
     "identity18_residual",
-    "word_generators",
     "random_graded_pair",
     "graded_relative_residual",
     "convention_search",
@@ -131,8 +124,7 @@ class TernaryWeights:
     @classmethod
     def canonical(cls) -> "TernaryWeights":
         """The cube roots of unity (1, w, w^2)."""
-        w = CycloScalar.omega().to_complex()
-        return cls(1.0 + 0j, w, w * w)
+        return cls(1.0 + 0j, OMEGA, OMEGA * OMEGA)
 
     @classmethod
     def random_zero_sum(cls, seed: int) -> "TernaryWeights":
@@ -287,7 +279,7 @@ def _three_commutator(x, y, z, weights, convention):
         mids = [_fold_middle(arg[middle], swap, pairings[kind]) for arg in args]
         terms = [
             _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * getattr(weights, w)
-            for (i, j, k), w in BRACKET_WORD_ORDER
+            for (i, j, k), w in definitions.BRACKET_WORD_ORDER
         ]
         out[kind] = sum(terms[1:], terms[0])
     return out
@@ -305,7 +297,7 @@ def _cyclic(x, y, z, weights, convention):
 def _identity18(a, b, c, d, e, weights, convention):
     v = {"A": a, "B": b, "C": c, "D": d, "E": e}
     bracket = partial(_three_commutator, weights=weights, convention=convention)
-    return _pair_sum([bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in IDENTITY18_TERMS])
+    return _pair_sum([bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in definitions.IDENTITY18_TERMS])
 
 
 def _evaluate(fn, trials, convention: ChainConvention):
@@ -322,18 +314,6 @@ def _evaluate(fn, trials, convention: ChainConvention):
 def _one(fn, pairs, weights: TernaryWeights, convention: ChainConvention) -> GradedPair:
     """fn on one trial: the batch of one behind each public function."""
     return next(_evaluate(fn, [(pairs, weights)], convention))[0]
-
-
-def word_generators(word: GradedWord) -> list[tuple[str, ...]]:
-    """Contiguous three-symbol windows whose bracket can produce the word.
-
-    A five-symbol word has three windows; the degenerate three-symbol word is
-    its own single window.
-    """
-    symbols = word.symbols
-    if len(set(symbols)) != len(symbols):
-        raise ValueError(f"word symbols must be distinct, got {''.join(symbols)}")
-    return [tuple(symbols[i : i + 3]) for i in range(len(symbols) - 2)]
 
 
 # DenseTensor and GradedPair share the norm-based measure
@@ -365,8 +345,13 @@ def convention_search(
     seeds evaluate, so a trial's residuals are the ones those checks report.
     The cyclic identity is insensitive to the pairing choice (every word is
     evaluated the same way wherever it appears), so the twenty-term identity
-    is the discriminating test; mismatched pairings fail it by O(1).
+    is the discriminating test; mismatched pairings fail it by O(1).  At
+    dim 1 a crossed pairing swaps two axes of length 1, so every convention
+    computes the same tensor and the search cannot tell them apart: it needs
+    dim >= 2.
     """
+    if dim < 2:
+        raise ValueError(f"convention search needs dim >= 2, got {dim}; at dim 1 every convention is the same")
     weights = TernaryWeights.canonical()
     draws = [_trial_pairs(dim, seed, 5) for seed in seeds]
     trials = []

@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import definitions
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
 from .tensors import DenseTensor, TensorShape, _batches, _columns, _contract, _stack
-from .words import IDENTITY6_TERMS
 
 __all__ = [
     "Phi2Params",
@@ -150,7 +150,7 @@ def _jacobi(a, b, c, p):
 
 def _identity6(a, b, c, d, p):
     m = {"A": a, "B": b, "C": c, "D": d}
-    terms = [_phi2(_phi2(_phi2(m[w], m[x], p), m[y], p), m[z], p) for w, x, y, z in IDENTITY6_TERMS]
+    terms = [_phi2(_phi2(_phi2(m[w], m[x], p), m[y], p), m[z], p) for w, x, y, z in definitions.IDENTITY6_TERMS]
     return sum(terms[1:], terms[0])
 
 

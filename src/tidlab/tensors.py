@@ -227,12 +227,12 @@ def contract(a: DenseTensor, upper_slot: int, lower_slot: int) -> DenseTensor:
 def _einsum_plan(diagram: "ContractionDiagram"):
     """Compile a diagram once into pairwise einsum steps with integer subscripts.
 
-    Returns (steps, final_subs, out_sub, output_shape).  Each step
-    (i, j, sub_i, sub_j, sub_kept) contracts working operands i < j and
-    appends the result, keeping only the labels that a remaining operand or
-    the output still needs.  The last call contracts the remaining one or two
-    operands straight into the output order, so a one- or two-operand
-    diagram is a single einsum over the diagram's own subscripts.
+    Returns (steps, final_subs, out_sub).  Each step (i, j, sub_i, sub_j,
+    sub_kept) contracts working operands i < j and appends the result,
+    keeping only the labels that a remaining operand or the output still
+    needs.  The last call contracts the remaining one or two operands
+    straight into the output order, so a one- or two-operand diagram is a
+    single einsum over the diagram's own subscripts.
 
     Every slot ranges over the same dimension d, so a step spanning k labels
     costs d^k at every d: greedily joining the pair with the fewest labels in
@@ -267,7 +267,7 @@ def _einsum_plan(diagram: "ContractionDiagram"):
         kept = tuple(dict.fromkeys(x for x in subs[i] + subs[j] if x in needed))
         steps.append((i, j, subs[i], subs[j], kept))
         subs = [s for k, s in enumerate(subs) if k not in (i, j)] + [kept]
-    return tuple(steps), tuple(subs), out_sub, diagram.output_shape
+    return tuple(steps), tuple(subs), out_sub
 
 
 # the einsum label of the leading trial axis: numpy takes labels below 52, and
@@ -281,7 +281,7 @@ def _contract(diagram: "ContractionDiagram", arrays: list[np.ndarray]) -> np.nda
     For the product and chain diagrams each row is bit-identical to a batch
     of one; numpy may order another diagram's sums differently in a batch.
     """
-    steps, final_subs, out_sub, _ = _einsum_plan(diagram)
+    steps, final_subs, out_sub = _einsum_plan(diagram)
     n = _BATCH_LABEL
     arrays = list(arrays)
     for i, j, sub_i, sub_j, sub_kept in steps:

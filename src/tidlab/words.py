@@ -21,11 +21,14 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import definitions
 from .cyclo import _VAR, VARS, CycloScalar, WeightPoly, symmetric_ideal_membership
+from .definitions import BRACKET_WORD_ORDER, HIGH, IDENTITY6_TERMS, IDENTITY18_TERMS, LOW
 
 __all__ = [
     "TraceWord",
     "GradedWord",
+    "word_generators",
     "FormalSum",
     "symbol_word",
     "generic_params",
@@ -110,10 +113,6 @@ class TraceWord:
         return "·".join(parts)
 
 
-HIGH = "high"  # word type with (2,1) components at even (0-based) positions
-LOW = "low"  # word type with (1,2) components at even (0-based) positions
-
-
 @dataclass(frozen=True, order=True)
 class GradedWord:
     """Alternating word over component symbols; `kind` is the whole word's type.
@@ -139,6 +138,18 @@ class GradedWord:
 
     def __str__(self) -> str:
         return f"{''.join(self.symbols)}:{self.kind}"
+
+
+def word_generators(word: GradedWord) -> list[tuple[str, ...]]:
+    """Contiguous three-symbol windows whose bracket can produce the word.
+
+    A five-symbol word has three windows; the degenerate three-symbol word is
+    its own single window.
+    """
+    symbols = word.symbols
+    if len(set(symbols)) != len(symbols):
+        raise ValueError(f"word symbols must be distinct, got {''.join(symbols)}")
+    return [tuple(symbols[i : i + 3]) for i in range(len(symbols) - 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +309,6 @@ def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
     return FormalSum(terms)
 
 
-# the twelve four-symbol terms, in printed order: "WXYZ" means ((W∘X)∘Y)∘Z
-IDENTITY6_TERMS: tuple[str, ...] = (
-    "ABCD", "CBDA", "CDAB", "ADBC",
-    "CABD", "DCBA", "ACDB", "BADC",
-    "BCAD", "BDCA", "DACB", "DBAC",
-)
-
-
 @dataclass(frozen=True)
 class Identity6Report:
     """Expansion record for the twelve-term four-symbol identity."""
@@ -346,7 +349,7 @@ def verify_identity6_symbolic(params=None) -> Identity6Report:
     total = FormalSum.zero()
     groups: dict[str, FormalSum] = {}
     group_terms: dict[str, tuple[str, ...]] = {}
-    for term in IDENTITY6_TERMS:
+    for term in definitions.IDENTITY6_TERMS:
         expansion = nested(term)
         total = total + expansion
         final = term[3]
@@ -366,19 +369,6 @@ def verify_identity6_symbolic(params=None) -> Identity6Report:
 # graded-word expansion of the ternary bracket
 # ---------------------------------------------------------------------------
 
-# bracket words: for arguments (x, y, z), each ordering below is one word and
-# the weight is keyed by which argument sits in the middle:
-#   middle = 2nd argument -> alpha, 1st -> beta, 3rd -> gamma
-BRACKET_WORD_ORDER: tuple[tuple[tuple[int, int, int], str], ...] = (
-    ((0, 1, 2), "alpha"),
-    ((2, 1, 0), "alpha"),
-    ((2, 0, 1), "beta"),
-    ((1, 0, 2), "beta"),
-    ((0, 2, 1), "gamma"),
-    ((1, 2, 0), "gamma"),
-)
-
-
 def _bracket_weights(weights) -> dict[str, WeightPoly]:
     if weights is None:
         return {v: _VAR[v] for v in ("alpha", "beta", "gamma")}
@@ -388,7 +378,7 @@ def _bracket_weights(weights) -> dict[str, WeightPoly]:
 
 def _bracket_words(args: Sequence[str]):
     """The bracket's twelve words over args: (symbols, kind, weight name)."""
-    for order, wname in BRACKET_WORD_ORDER:
+    for order, wname in definitions.BRACKET_WORD_ORDER:
         symbols = tuple(args[i] for i in order)
         for kind in (HIGH, LOW):
             yield symbols, kind, wname
@@ -409,15 +399,6 @@ def expand_three_commutator_symbolic(
     return FormalSum(terms)
 
 
-# the twenty five-symbol terms: "PQRST" means ((P,Q,R) S, T)
-IDENTITY18_TERMS: tuple[str, ...] = (
-    "ABCDE", "BCDEA", "CDEAB", "DEABC", "EABCD",
-    "CBAED", "BAEDC", "AEDCB", "EDCBA", "DCBAE",
-    "DACEB", "ACEBD", "CEBDA", "EBDAC", "BDACE",
-    "CADBE", "ADBEC", "DBECA", "BECAD", "ECADB",
-)
-
-
 @dataclass(frozen=True)
 class WordInstance:
     """One weighted occurrence of a five-symbol word in the identity expansion."""
@@ -432,7 +413,7 @@ def expand_identity18_instances() -> list[WordInstance]:
     """All weighted word occurrences of the twenty nested-bracket terms."""
     weight = _bracket_weights(None)
     instances: list[WordInstance] = []
-    for term in IDENTITY18_TERMS:
+    for term in definitions.IDENTITY18_TERMS:
         inner_words = list(_bracket_words(term[:3]))
         # outer bracket on (w, S, T): w takes each inner word of the kind at its position
         for outer, kind, outer_name in _bracket_words(("w",) + tuple(term[3:])):

@@ -257,6 +257,47 @@ def test_convention_search_bad_argument_usage_error(capsys, flag, value):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["convention-search", "--dim", "1"], ["verify", "cyclic16", "--dim", "1", "--convention", "auto-search"]],
+    ids=["convention-search", "auto-search"],
+)
+def test_convention_search_at_dim_1_usage_error(capsys, argv):
+    # at dim 1 every convention computes the same tensor, so all 16 would survive
+    code, out, err = run(capsys, [*argv, "--seeds", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "dim >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, unit_argv, code, first",
+    [
+        # the symmetric product fails Jacobi at every scale
+        (["jacobi", "--alpha", "1e-6", "--beta", "1e-6"], ["jacobi", "--alpha", "1", "--beta", "1"], 1, 1e-6),
+        (["jacobi", "--alpha", "1e308", "--beta", "1e308"], ["jacobi", "--alpha", "1", "--beta", "1"], 1, 1e308),
+        # an exact commutator passes at every scale
+        (["jacobi", "--alpha", "1e4", "--beta=-1e4"], ["jacobi"], 0, 1e4),
+        # unbalanced weights fail identity18 at every scale
+        (["identity18", "--mode", "numeric", "--weights=1e-6,2e-6,3e-6"],
+         ["identity18", "--mode", "numeric", "--weights=1,2,3"], 1, 1e-6),
+    ],
+    ids=["jacobi-tiny", "jacobi-huge", "commutator-large", "identity18-tiny"],
+)
+def test_verdict_does_not_depend_on_coefficient_scale(capsys, argv, unit_argv, code, first):
+    """Every identity is homogeneous in its coefficients, so only their ratios decide."""
+    reports = []
+    for args in (argv, unit_argv):
+        got, out, _ = run(capsys, ["verify", *args, "--json"])
+        assert got == code
+        reports.append(json.loads(out))
+    (scaled,), (unit,) = ([c for c in r["checks"] if c["name"].endswith("/numeric")] for r in reports)
+    assert scaled["residual"] == pytest.approx(unit["residual"], rel=1e-9)
+    # the report keeps the coefficients as given
+    raw = scaled["params"]["alpha"] if argv[0] == "jacobi" else reports[0]["config"]["explicit_weights"][0]
+    assert raw == [first, 0.0]
+
+
 _NUMERIC = ["jacobi/numeric", "identity6/numeric", "phi4/numeric", "cyclic16/numeric",
             "identity18/numeric", "appendix1/numeric"]
 _SYMBOLIC = ["identity6/symbolic", "phi4/symbolic", "cyclic16/symbolic", "appendix1/symbolic",
@@ -376,7 +417,8 @@ def test_enumerate_out_takes_one_shape(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--alpha", "inf"), ("--delta", "nan"), ("--weights", "nan,1,1"), ("--weights", "1,inf,-1")],
+    [("--alpha", "inf"), ("--delta", "nan"), ("--weights", "nan,1,1"), ("--weights", "1,inf,-1"),
+     ("--alpha", "1.5e308+1.5e308j"), ("--weights", "1,1,-1.5e308-1.5e308j")],
 )
 def test_verify_non_finite_coefficient_usage_error(capsys, flag, value):
     suite = "cyclic16" if flag == "--weights" else "jacobi"

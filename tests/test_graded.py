@@ -17,10 +17,9 @@ from tidlab.graded import (
     identity18_residual,
     random_graded_pair,
     three_commutator,
-    word_generators,
 )
 from tidlab.tensors import DenseTensor, TensorShape, random_tensor
-from tidlab.words import BRACKET_WORD_ORDER, HIGH, LOW, GradedWord
+from tidlab.words import BRACKET_WORD_ORDER, HIGH, LOW, GradedWord, word_generators
 
 
 def test_graded_pair_validation():
@@ -246,6 +245,12 @@ def test_convention_search_survivors():
 def test_convention_search_without_seeds_has_no_survivors():
     _, survivors = convention_search(dim=2, seeds=())
     assert survivors == []
+
+
+def test_convention_search_rejects_dim_1():
+    # a crossed pairing swaps two axes of length 1, so all 16 conventions agree
+    with pytest.raises(ValueError, match="dim >= 2"):
+        convention_search(dim=1, seeds=(1,))
 
 
 def test_word_generators_five_symbol():

@@ -250,7 +250,7 @@ def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
 
 def test_chain_plans_span_at_most_four_labels():
     for chain in _CHAINS.values():
-        steps, final_subs, out_sub, _ = _einsum_plan(chain)
+        steps, final_subs, out_sub = _einsum_plan(chain)
         spans = [set(sub_i + sub_j + kept) for _, _, sub_i, sub_j, kept in steps]
         spans.append(set(itertools.chain(out_sub, *final_subs)))
         assert len(steps) == 1
