@@ -91,6 +91,11 @@ class RunConfig:
         moduli = [math.hypot(c.real, c.imag) for c in (*self.params.as_dict().values(), *explicit)]
         if not all(map(math.isfinite, moduli)):
             raise ValueError("product coefficients and weights must have a finite modulus")
+        # a zero product or bracket satisfies every identity, so a pass would be no evidence
+        if not any(self.params.as_dict().values()):
+            raise ValueError("product coefficients must not all be zero")
+        if explicit and not any(explicit):
+            raise ValueError("weights must not all be zero")
 
     def weights_name(self) -> str:
         """The weights as reports name them: the mode, or "explicit" for a triple."""

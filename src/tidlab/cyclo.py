@@ -1,11 +1,13 @@
 """Exact arithmetic in Q(w), w a primitive cube root of unity, and weight polynomials.
 
 CycloScalar holds a + b*w with rational a, b and the reduction rule
-w^2 = -1 - w (so w^3 = 1 and 1 + w + w^2 = 0).  WeightPoly is a commutative
-polynomial in the four weight indeterminates (alpha, beta, gamma, delta)
-with CycloScalar coefficients; it carries every symbolic expansion in the
-package.  Constants are exact (int, Fraction or CycloScalar) and a float
-raises TypeError, so no float ever enters an exact path.
+w^2 = -1 - w (so w^3 = 1 and 1 + w + w^2 = 0).  A coordinate is an int when
+it is integral and a Fraction otherwise, so arithmetic in Z[w] stays in
+ints.  WeightPoly is a commutative polynomial in the four weight
+indeterminates (alpha, beta, gamma, delta) with CycloScalar coefficients;
+it carries every symbolic expansion in the package.  Constants are exact
+(int, Fraction or CycloScalar) and a float raises TypeError, so no float
+ever enters an exact path.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ __all__ = ["CycloScalar", "WeightPoly", "VARS", "symmetric_ideal_membership"]
 RationalLike = Union[int, Fraction]
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _frac(x: RationalLike) -> RationalLike:
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -44,8 +46,8 @@ def _power(base, n: int, one):
 class CycloScalar:
     """Exact element a + b*w of Q(w) with w^2 = -1 - w."""
 
-    a: Fraction
-    b: Fraction
+    a: RationalLike  # an int when integral, else a Fraction
+    b: RationalLike
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
         object.__setattr__(self, "a", _frac(a))
@@ -114,7 +116,7 @@ class CycloScalar:
         n = self.a * self.a - self.a * self.b + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        return CycloScalar((self.a - self.b) / n, -self.b / n)
+        return CycloScalar(Fraction(self.a - self.b) / n, Fraction(-self.b) / n)
 
     def __truediv__(self, other) -> "CycloScalar":
         o = self._coerce(other)

@@ -376,9 +376,9 @@ def _bracket_weights(weights) -> dict[str, WeightPoly]:
     return {"alpha": _as_poly(wa), "beta": _as_poly(wb), "gamma": _as_poly(wg)}
 
 
-def _bracket_words(args: Sequence[str]):
+def _bracket_words(args: Sequence[str], word_order: tuple):
     """The bracket's twelve words over args: (symbols, kind, weight name)."""
-    for order, wname in definitions.BRACKET_WORD_ORDER:
+    for order, wname in word_order:
         symbols = tuple(args[i] for i in order)
         for kind in (HIGH, LOW):
             yield symbols, kind, wname
@@ -393,7 +393,7 @@ def expand_three_commutator_symbolic(
     """
     table = _bracket_weights(weights)
     terms: dict = {}
-    for symbols, kind, wname in _bracket_words((x, y, z)):
+    for symbols, kind, wname in _bracket_words((x, y, z), definitions.BRACKET_WORD_ORDER):
         word = GradedWord(symbols, kind)
         terms[word] = terms.get(word, WeightPoly.zero()) + table[wname]
     return FormalSum(terms)
@@ -410,13 +410,22 @@ class WordInstance:
 
 
 def expand_identity18_instances() -> list[WordInstance]:
-    """All weighted word occurrences of the twenty nested-bracket terms."""
+    """All weighted word occurrences of the twenty nested-bracket terms.
+
+    The instances are expanded once per definition and shared (they are
+    immutable); each call returns a new list of them.
+    """
+    return list(_identity18_instances(definitions.IDENTITY18_TERMS, definitions.BRACKET_WORD_ORDER))
+
+
+@functools.lru_cache(maxsize=4)
+def _identity18_instances(terms: tuple[str, ...], word_order: tuple) -> tuple[WordInstance, ...]:
     weight = _bracket_weights(None)
     instances: list[WordInstance] = []
-    for term in definitions.IDENTITY18_TERMS:
-        inner_words = list(_bracket_words(term[:3]))
+    for term in terms:
+        inner_words = list(_bracket_words(term[:3], word_order))
         # outer bracket on (w, S, T): w takes each inner word of the kind at its position
-        for outer, kind, outer_name in _bracket_words(("w",) + tuple(term[3:])):
+        for outer, kind, outer_name in _bracket_words(("w",) + tuple(term[3:]), word_order):
             pos = outer.index("w")
             need = GradedWord(outer, kind).position_kind(pos)
             for inner, inner_kind, inner_name in inner_words:
@@ -424,7 +433,7 @@ def expand_identity18_instances() -> list[WordInstance]:
                     word = GradedWord(outer[:pos] + inner + outer[pos + 1 :], kind)
                     product = weight[inner_name] * weight[outer_name]
                     instances.append(WordInstance(word, product, term, inner))
-    return instances
+    return tuple(instances)
 
 
 def _weight_class_polys() -> dict[str, WeightPoly]:

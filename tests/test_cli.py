@@ -430,6 +430,24 @@ def test_verify_non_finite_coefficient_usage_error(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["jacobi", "--alpha", "0", "--beta", "0", "--dim", "3"], "product coefficients"),
+        (["identity18", "--mode", "numeric", "--weights=0,0,0", "--dim", "2"], "weights"),
+        (["cyclic16", "--mode", "numeric", "--weights=0,0,0", "--dim", "2"], "weights"),
+        (["cyclic16", "--weights=0,-0,0j"], "weights"),
+    ],
+)
+def test_verify_all_zero_coefficients_usage_error(capsys, argv, what):
+    # a zero product or bracket satisfies every identity, so it cannot pass a check
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["verify", *argv, "--seeds", "1", *extra])
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("error:") and f"{what} must not all be zero" in err
+
+
+@pytest.mark.parametrize(
     "argv, chunk",
     [
         (["enumerate", "(1,1,1)"], "(1,1,1)"),

@@ -68,6 +68,36 @@ def test_integer_coercion():
 def test_rejects_floats():
     with pytest.raises(TypeError):
         CycloScalar(0.5, 0)
+    with pytest.raises(TypeError):
+        CycloScalar(1, 2.0)
+
+
+def test_integral_coordinates_are_ints():
+    assert type(CycloScalar(Fraction(4, 2)).a) is int
+    assert type(CycloScalar(True).a) is int and CycloScalar(True).a == 1
+    assert type((W * W2 + W).b) is int
+    assert type(CycloScalar(Fraction(1, 2) + Fraction(1, 2), 3).a) is int
+    inverse = CycloScalar(2, 1).inverse()
+    assert type(inverse.a) is Fraction and inverse.a == Fraction(1, 3)
+    assert CycloScalar(3) / CycloScalar(3) == ONE
+
+
+def test_str_repr_and_hash_match_fraction_coordinates():
+    assert str(CycloScalar(Fraction(4, 2), Fraction(-1, 2))) == "2-1/2w"
+    assert repr(CycloScalar(Fraction(1, 2), 1)) == "CycloScalar(1/2, 1)"
+    halves = [Fraction(k, 2) for k in range(-6, 7)]
+    for a in halves:
+        for b in halves:
+            x = CycloScalar(a, b)
+            if b == 0:
+                text = str(a)
+            elif a == 0:
+                text = f"{b}w"
+            else:
+                text = f"{a}{'+' if b > 0 else ''}{b}w"
+            assert str(x) == text
+            assert repr(x) == f"CycloScalar({a}, {b})"
+            assert hash(x) == hash((a, b))
 
 
 # -- weight polynomials ------------------------------------------------------

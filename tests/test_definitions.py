@@ -93,3 +93,14 @@ def test_one_mutated_definition_fails_both_routes(monkeypatch, capsys, name, ter
     assert checks[numeric]["residual"] > 0.1
     assert not checks[exact]["pass"]
     assert detail in checks[exact]["digest"]
+
+
+def test_mutated_definition_fails_after_the_intact_expansion_is_cached(monkeypatch, capsys):
+    # a full symbolic run expands the intact definition first
+    assert main(["verify", "all", "--mode", "symbolic", "--json"]) == 0
+    capsys.readouterr()
+    terms = tidlab.definitions.IDENTITY18_TERMS
+    monkeypatch.setattr(tidlab.definitions, "IDENTITY18_TERMS", ("ABCED",) + terms[1:])
+    exact = _verify("appendix2", capsys)["appendix2/exact"]
+    assert not exact["pass"]
+    assert "matches no class polynomial" in exact["digest"]

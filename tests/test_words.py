@@ -397,3 +397,20 @@ def test_class_table_digests():
 def test_identity18_word_report_digest():
     obj = verify_identity18_symbolic().to_json(include_words=True)
     assert _digest(obj) == IDENTITY18_WORDS_DIGEST
+
+
+# -- the shared expansion ------------------------------------------------------
+
+
+def test_each_call_returns_its_own_list_of_the_instances():
+    first, second = expand_identity18_instances(), expand_identity18_instances()
+    assert first is not second
+    assert first == second
+    first.clear()
+    assert len(second) == 1440
+    assert second == expand_identity18_instances()
+
+
+@pytest.mark.parametrize("pair", sorted(p for p, kind in CLASS_TABLE_DIGESTS if kind == HIGH))
+def test_class_table_is_the_same_with_or_without_instances(pair):
+    assert build_class_table(pair) == build_class_table(pair, instances=expand_identity18_instances())
