@@ -17,41 +17,11 @@ import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Iterator, Optional, Union
 
-from .diagrams import EnumOptions, classify_by_output, enumerate_diagrams
-from .graded import (
-    CANONICAL_CONVENTION,
-    ChainConvention,
-    TernaryWeights,
-    _cyclic,
-    _identity18,
-    _trial_pairs,
-    convention_search,
-)
-from .graded import _evaluate as _evaluate_graded
-from .matrixops import (
-    _MAT,
-    Phi2Params,
-    _evaluate,
-    _identity6,
-    _jacobi,
-    _phi4,
-    closed_remainder,
-    worst_residual,
-)
-from .tensors import TensorShape, _random_complexes, _trial_seeds, random_tensor
-from .words import (
-    WEIGHT_CLASS_POLYS,
-    canonical_cubic_weights,
-    closed_remainder_symbolic,
-    constrained_params,
-    cyclic_sum_symbolic,
-    expand_three_commutator_symbolic,
-    phi4_symbolic,
-    symbol_word,
-    verify_identity6_symbolic,
-    verify_identity18_symbolic,
-)
-from .cyclo import _E1
+# Only what parsing, RunConfig and `enumerate` need is imported here.  Each
+# check body imports its route where it runs, so `enumerate` and a symbolic
+# verify never load numpy.
+from .definitions import CANONICAL_CONVENTION, ChainConvention, Phi2Params
+from .diagrams import EnumOptions, TensorShape, classify_by_output, enumerate_diagrams
 
 SCHEMA = "tidlab/1"
 WEIGHT_MODES = ("canonical", "random-constrained")
@@ -102,6 +72,8 @@ class RunConfig:
         return self.weights if isinstance(self.weights, str) else "explicit"
 
     def ternary_weights(self, seed: int) -> TernaryWeights:
+        from .graded import TernaryWeights
+
         if self.weights == "canonical":
             return TernaryWeights.canonical()
         if self.weights == "random-constrained":
@@ -168,62 +140,88 @@ def _unit(coeffs):
 
 
 def _rand_params(seed: int) -> Phi2Params:
+    from .tensors import _random_complexes
+
     return _unit(Phi2Params.constrained(*_random_complexes(seed, 2)))
 
 
 def _mats(cfg: RunConfig, seed: int, n: int) -> list:
+    from .matrixops import _MAT
+    from .tensors import _trial_seeds, random_tensor
+
     return [random_tensor(_MAT, cfg.dim, s) for s in _trial_seeds(seed, n)]
 
 
 def _jacobi_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    from .matrixops import _evaluate, _jacobi
+
     return _evaluate(_jacobi, ((_mats(cfg, seed, 3), _unit(cfg.params)) for seed in cfg.seeds))
 
 
 def _identity6_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    from .matrixops import _evaluate, _identity6
+
     trials = ((mats, params) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
               for params in (Phi2Params.traced_commutator(), _rand_params(seed)))
     return _evaluate(_identity6, trials)
 
 
 def _phi4_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    from .matrixops import _evaluate, _phi4
+
     trials = ((mats, _rand_params(seed * 1000 + k)) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
               for k in range(5))
     return _evaluate(_phi4, trials)
 
 
 def _appendix1_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    from .matrixops import _evaluate, _jacobi, closed_remainder
+
     trials = ((_mats(cfg, seed, 3), Phi2Params.traced_commutator()) for seed in cfg.seeds)
     for res, mats in _evaluate(_jacobi, trials):
         yield res - closed_remainder(*mats), mats
 
 
 def _cyclic16_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    from .graded import _cyclic, _evaluate, _trial_pairs
+
     trials = ((_trial_pairs(cfg.dim, seed, 3), _unit(cfg.ternary_weights(seed))) for seed in cfg.seeds)
-    return _evaluate_graded(_cyclic, trials, cfg.convention)
+    return _evaluate(_cyclic, trials, cfg.convention)
 
 
 def _identity18_numeric(cfg: RunConfig) -> Iterator[tuple]:
+    from .graded import _evaluate, _identity18, _trial_pairs
+
     trials = ((_trial_pairs(cfg.dim, seed, 5), _unit(cfg.ternary_weights(seed))) for seed in cfg.seeds)
-    return _evaluate_graded(_identity18, trials, cfg.convention)
+    return _evaluate(_identity18, trials, cfg.convention)
 
 
 def _identity6_symbolic(cfg: RunConfig) -> tuple[bool, str]:
+    from .words import verify_identity6_symbolic
+
     report = verify_identity6_symbolic()
     return report.passed, "zero-sum" if report.passed else f"{len(report.offending)} residual words"
 
 
 def _phi4_symbolic(cfg: RunConfig) -> tuple[bool, str]:
+    from .words import constrained_params, phi4_symbolic, symbol_word
+
     result = phi4_symbolic(*(symbol_word(s) for s in "ABCD"), constrained_params())
     return result.is_zero(), "zero-sum" if result.is_zero() else f"{len(result)} words"
 
 
 def _appendix1_symbolic(cfg: RunConfig) -> tuple[bool, str]:
+    from .words import closed_remainder_symbolic, constrained_params, cyclic_sum_symbolic
+
     lhs = cyclic_sum_symbolic("A", "B", "C", constrained_params())
     ok = lhs == closed_remainder_symbolic("A", "B", "C")
     return ok, "exact-match" if ok else "mismatch"
 
 
 def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
+    from .cyclo import _E1
+    from .words import expand_three_commutator_symbolic
+
     total = (
         expand_three_commutator_symbolic("X", "Y", "Z")
         + expand_three_commutator_symbolic("Z", "X", "Y")
@@ -234,6 +232,8 @@ def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def _appendix2_exact(cfg: RunConfig) -> tuple[bool, str]:
+    from .words import WEIGHT_CLASS_POLYS, canonical_cubic_weights, verify_identity18_symbolic
+
     report = verify_identity18_symbolic(canonical_cubic_weights())
     if not report.passed:
         return False, "; ".join(report.failures[:4])
@@ -285,6 +285,8 @@ class Check:
         out = self.body(cfg)
         residual = digest = None
         if self.kind == "numeric":
+            from .matrixops import worst_residual
+
             residual = worst_residual(out)
             passed = residual <= cfg.tolerance_rel
             if not math.isfinite(residual):
@@ -369,6 +371,8 @@ def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
     if source is None:
         return CANONICAL_CONVENTION
     if source == "auto-search":
+        from .graded import convention_search
+
         _, survivors = convention_search(dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel)
         if not survivors:
             raise ValueError("convention auto-search found no surviving convention")
@@ -490,6 +494,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_convention_search(args: argparse.Namespace) -> int:
+    from .graded import convention_search
+
     try:
         cfg = RunConfig(dim=args.dim, seeds=default_seeds(args.seeds), tolerance_rel=args.tol)
         trials, survivors = convention_search(dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel)

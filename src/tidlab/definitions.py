@@ -4,9 +4,15 @@ Both routes read this module, the dense numerics (`matrixops`, `graded`) and
 the exact word expansion (`words`); it imports no tidlab module.  The routes
 read each table as an attribute at call time (`definitions.IDENTITY18_TERMS`),
 so one changed definition reaches both.
+
+It also holds the plain value types a run is configured with, the binary
+product's coefficients (`Phi2Params`) and the chain pairing convention
+(`ChainConvention`); `matrixops` and `graded` re-export them.
 """
 
+import itertools
 import math
+from dataclasses import asdict, astuple, dataclass, fields
 
 __all__ = ["HIGH", "LOW", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER", "IDENTITY18_TERMS", "OMEGA"]
 
@@ -41,3 +47,77 @@ IDENTITY18_TERMS: tuple[str, ...] = (
 )
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # the numeric embedding of w = exp(2πi/3)
+
+
+@dataclass(frozen=True)
+class Phi2Params:
+    """Deformation coefficients (alpha, beta, gamma, delta) of the binary product."""
+
+    alpha: complex = 1.0
+    beta: complex = -1.0
+    gamma: complex = 0.0
+    delta: complex = 0.0
+
+    @classmethod
+    def commutator(cls) -> "Phi2Params":
+        return cls()
+
+    @classmethod
+    def traced_commutator(cls) -> "Phi2Params":
+        """The unit instance of the constrained family: (1, -1, 1, -1)."""
+        return cls.constrained(1.0, 1.0)
+
+    @classmethod
+    def constrained(cls, alpha: complex, gamma: complex) -> "Phi2Params":
+        """beta = -alpha and delta = -gamma, the identity-bearing family."""
+        return cls(alpha, -alpha, gamma, -gamma)
+
+    def as_dict(self) -> dict[str, complex]:
+        return {name: complex(v) for name, v in asdict(self).items()}
+
+
+PARALLEL = "parallel"
+CROSSED = "crossed"
+
+
+@dataclass(frozen=True)
+class ChainConvention:
+    """Slot pairing of the doubled chain edge for each word kind and direction.
+
+    A crossed pairing is the parallel chain with the middle operand's two
+    doubled-edge slots swapped.  The fields run high then low, l2r then r2l;
+    descriptors and labels list the pairings in this field order.
+    """
+
+    high_l2r: str = PARALLEL
+    high_r2l: str = PARALLEL
+    low_l2r: str = PARALLEL
+    low_r2l: str = PARALLEL
+
+    def __post_init__(self) -> None:
+        for name, v in asdict(self).items():
+            if v not in (PARALLEL, CROSSED):
+                raise ValueError(f"{name} must be {PARALLEL!r} or {CROSSED!r}, got {v!r}")
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ChainConvention":
+        names = [f.name for f in fields(cls)]
+        problems = [f"missing {n}" for n in names if n not in obj]
+        problems += [f"unknown {k}" for k in obj if k not in names]
+        if problems:
+            raise ValueError(f"pairings: {', '.join(problems)}")
+        return cls(**obj)
+
+    @classmethod
+    def all_conventions(cls) -> list["ChainConvention"]:
+        return [cls(*bits) for bits in itertools.product((PARALLEL, CROSSED), repeat=len(fields(cls)))]
+
+    def label(self) -> str:
+        short = {PARALLEL: "p", CROSSED: "x"}
+        return "".join(short[v] for v in astuple(self))
+
+
+CANONICAL_CONVENTION = ChainConvention()

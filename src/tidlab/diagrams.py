@@ -7,6 +7,9 @@ permutations and by permutations of identically-shaped operands, and
 disconnected diagrams can be excluded.  The combinations reproduce the
 reference counts checked in the test suite (7 binary compositions; 7 per
 output type for the mixed ternary family).
+
+`TensorShape`, an operand's slot counts, is defined here, so enumeration
+needs no numpy; `tensors` re-exports it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
-
-from .tensors import TensorShape
 
 __all__ = [
     "UPPER",
@@ -34,6 +35,28 @@ __all__ = [
 
 UPPER = "upper"
 LOWER = "lower"
+
+
+@dataclass(frozen=True, order=True)
+class TensorShape:
+    """Slot counts of a mixed tensor: `upper` contravariant, `lower` covariant."""
+
+    upper: int
+    lower: int
+
+    def __post_init__(self) -> None:
+        if self.upper < 0 or self.lower < 0:
+            raise ValueError(f"slot counts must be non-negative, got {self}")
+
+    @property
+    def order(self) -> int:
+        return self.upper + self.lower
+
+    def as_tuple(self) -> tuple[int, int]:
+        return (self.upper, self.lower)
+
+    def __str__(self) -> str:
+        return f"({self.upper},{self.lower})"
 
 
 @dataclass(frozen=True, order=True)
@@ -89,20 +112,8 @@ class ContractionDiagram:
 
     def is_connected(self) -> bool:
         """True when the contraction edges join all operands into one component."""
-        n = len(self.operand_shapes)
-        if n <= 1:
-            return True
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for up, low in self.pairs:
-            parent[find(up.operand)] = find(low.operand)
-        return len({find(i) for i in range(n)}) == 1
+        edges = [(up.operand, up.position, low.operand, low.position) for up, low in self.pairs]
+        return _connected(len(self.operand_shapes), edges)
 
     def is_linear_chain(self) -> bool:
         """True when the diagram composes the operands end to end along a line.
@@ -178,48 +189,51 @@ UNORDERED_CONNECTED = EnumOptions(
 )
 
 
-def _all_matchings(
-    shapes: tuple[TensorShape, ...], forbid_self: bool
-) -> Iterator[frozenset[tuple[SlotRef, SlotRef]]]:
-    uppers = [
-        SlotRef(i, UPPER, p)
-        for i, s in enumerate(shapes)
-        for p in range(s.upper)
-    ]
-    lowers = [
-        SlotRef(i, LOWER, p)
-        for i, s in enumerate(shapes)
-        for p in range(s.lower)
-    ]
+# A matching during enumeration: sorted (up_op, up_pos, low_op, low_pos) tuples,
+# in the order of ContractionDiagram.sort_key's pair list.
+_Matching = tuple[tuple[int, int, int, int], ...]
 
-    def rec(idx: int, used: frozenset[SlotRef], pairs: tuple):
+
+def _all_matchings(shapes: tuple[TensorShape, ...], forbid_self: bool) -> Iterator[_Matching]:
+    uppers = [(i, p) for i, s in enumerate(shapes) for p in range(s.upper)]
+    lowers = [(i, p) for i, s in enumerate(shapes) for p in range(s.lower)]
+
+    # uppers are visited in order, so each matching comes out sorted
+    def rec(idx: int, used: int, pairs: _Matching) -> Iterator[_Matching]:
         if idx == len(uppers):
-            yield frozenset(pairs)
+            yield pairs
             return
         yield from rec(idx + 1, used, pairs)  # leave this upper free
-        up = uppers[idx]
-        for low in lowers:
-            if low in used:
+        up_op, up_pos = uppers[idx]
+        for k, (low_op, low_pos) in enumerate(lowers):
+            if used >> k & 1 or (forbid_self and low_op == up_op):
                 continue
-            if forbid_self and low.operand == up.operand:
-                continue
-            yield from rec(idx + 1, used | {low}, pairs + ((up, low),))
+            yield from rec(idx + 1, used | 1 << k, pairs + ((up_op, up_pos, low_op, low_pos),))
 
-    yield from rec(0, frozenset(), ())
+    yield from rec(0, 0, ())
 
 
-def _canonical_key(
-    pairs: frozenset[tuple[SlotRef, SlotRef]],
-    op_perms: list[tuple[int, ...]],
-    quot_slots: bool,
-) -> tuple:
+def _connected(n: int, pairs: _Matching) -> bool:
+    """True when the edges join all n operands into at most one component."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for up_op, _, low_op, _ in pairs:
+        parent[find(up_op)] = find(low_op)
+    return len({find(i) for i in range(n)}) <= 1
+
+
+def _canonical_key(pairs: _Matching, op_perms: list[tuple[int, ...]], quot_slots: bool) -> tuple:
     """Minimal encoding of a matching over its symmetry-group orbit."""
-
     # Slots within an operand permute freely, so the operand-level edge counts fix a slot orbit.
-    def end(p: tuple[int, ...], ref: SlotRef):
-        return p[ref.operand] if quot_slots else (p[ref.operand], ref.position)
-
-    return min(tuple(sorted((end(p, u), end(p, l)) for u, l in pairs)) for p in op_perms)
+    if quot_slots:
+        return min(tuple(sorted((p[u], p[l]) for u, _, l, _ in pairs)) for p in op_perms)
+    return min(tuple(sorted((p[u], up, p[l], lp) for u, up, l, lp in pairs)) for p in op_perms)
 
 
 def enumerate_diagrams(
@@ -242,22 +256,35 @@ def enumerate_diagrams(
             for p in itertools.permutations(identity)
             if all(shapes[i] == shapes[j] for i, j in enumerate(p))
         ]
-    chosen: dict[tuple, tuple[tuple, ContractionDiagram]] = {}  # key -> (sort_key, diagram)
+    # an output of (u, l) contracts total_up - u pairs, and total_low - l as well
+    total_up = sum(s.upper for s in shapes)
+    total_low = sum(s.lower for s in shapes)
+    out = options.required_output_shape
+    chosen: dict[tuple, tuple] = {}  # key -> smallest sort key in the orbit
     for pairs in _all_matchings(shapes, options.forbid_self_contraction):
-        diagram = ContractionDiagram(shapes, pairs)
-        if (
-            options.required_output_shape is not None
-            and diagram.output_shape != options.required_output_shape
-        ):
+        n = len(pairs)
+        if out is not None and (total_up - n, total_low - n) != (out.upper, out.lower):
             continue
-        if options.require_connected and not diagram.is_connected():
+        if options.require_connected and not _connected(len(shapes), pairs):
             continue
         key = _canonical_key(pairs, op_perms, options.quotient_by_slot_symmetry)
-        sort_key = diagram.sort_key()
+        sort_key = (n, pairs)
         prev = chosen.get(key)
-        if prev is None or sort_key < prev[0]:
-            chosen[key] = (sort_key, diagram)
-    return [diagram for _, diagram in sorted(chosen.values(), key=lambda kd: kd[0])]
+        if prev is None or sort_key < prev:
+            chosen[key] = sort_key
+    slots = {
+        (i, kind, p): SlotRef(i, kind, p)
+        for i, s in enumerate(shapes)
+        for kind, count in ((UPPER, s.upper), (LOWER, s.lower))
+        for p in range(count)
+    }
+    return [
+        ContractionDiagram(
+            shapes,
+            frozenset((slots[u, UPPER, up], slots[l, LOWER, lp]) for u, up, l, lp in pairs),
+        )
+        for _, pairs in sorted(chosen.values())
+    ]
 
 
 def classify_by_output(

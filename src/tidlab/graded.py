@@ -17,19 +17,18 @@ the survivors; the canonical convention pairs slots in parallel everywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
 
 from . import definitions
-from .definitions import HIGH, LOW, OMEGA
-from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
+from .definitions import CANONICAL_CONVENTION, CROSSED, HIGH, LOW, OMEGA, PARALLEL, ChainConvention
+from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef, TensorShape
 from .matrixops import relative_residual, worst_residual
 from .tensors import (
-    DenseTensor, TensorShape, _batches, _columns, _contract, _random_complexes, _random_draw, _stack, _trial_seeds
+    DenseTensor, _batches, _columns, _contract, _random_complexes, _random_draw, _stack, _trial_seeds
 )
 
 __all__ = [
@@ -50,9 +49,6 @@ __all__ = [
 
 _LOW_SHAPE = TensorShape(1, 2)
 _HIGH_SHAPE = TensorShape(2, 1)
-
-PARALLEL = "parallel"
-CROSSED = "crossed"
 
 
 @dataclass(frozen=True)
@@ -164,47 +160,6 @@ _CHAINS = {
 _WORD_PARTS = {HIGH: (LOW, (0, 1, 3, 2)), LOW: (HIGH, (0, 2, 1, 3))}
 
 
-@dataclass(frozen=True)
-class ChainConvention:
-    """Slot pairing of the doubled chain edge for each word kind and direction.
-
-    A crossed pairing is the parallel chain with the middle operand's two
-    doubled-edge slots swapped.  The fields run high then low, l2r then r2l;
-    descriptors and labels list the pairings in this field order.
-    """
-
-    high_l2r: str = PARALLEL
-    high_r2l: str = PARALLEL
-    low_l2r: str = PARALLEL
-    low_r2l: str = PARALLEL
-
-    def __post_init__(self) -> None:
-        for name, v in asdict(self).items():
-            if v not in (PARALLEL, CROSSED):
-                raise ValueError(f"{name} must be {PARALLEL!r} or {CROSSED!r}, got {v!r}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChainConvention":
-        names = [f.name for f in fields(cls)]
-        problems = [f"missing {n}" for n in names if n not in obj]
-        problems += [f"unknown {k}" for k in obj if k not in names]
-        if problems:
-            raise ValueError(f"pairings: {', '.join(problems)}")
-        return cls(**obj)
-
-    @classmethod
-    def all_conventions(cls) -> list["ChainConvention"]:
-        return [cls(*bits) for bits in itertools.product((PARALLEL, CROSSED), repeat=len(fields(cls)))]
-
-    def label(self) -> str:
-        short = {PARALLEL: "p", CROSSED: "x"}
-        return "".join(short[v] for v in astuple(self))
-
-
-CANONICAL_CONVENTION = ChainConvention()
 
 
 def three_commutator(

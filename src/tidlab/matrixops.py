@@ -11,14 +11,14 @@ identity checked by `identity6_residual`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import definitions
-from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef
-from .tensors import DenseTensor, TensorShape, _batches, _columns, _contract, _stack
+from .definitions import Phi2Params
+from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef, TensorShape
+from .tensors import DenseTensor, _batches, _columns, _contract, _stack
 
 __all__ = [
     "Phi2Params",
@@ -43,33 +43,6 @@ def _pair_diagram(up: int, low: int) -> ContractionDiagram:
 # the four elementary diagrams over two (1,1) operands with (1,1) output, in
 # Phi2Params field order: AB, BA, A·TrB, B·TrA
 _PHI2_DIAGRAMS = (_pair_diagram(1, 0), _pair_diagram(0, 1), _pair_diagram(1, 1), _pair_diagram(0, 0))
-
-
-@dataclass(frozen=True)
-class Phi2Params:
-    """Deformation coefficients (alpha, beta, gamma, delta) of the binary product."""
-
-    alpha: complex = 1.0
-    beta: complex = -1.0
-    gamma: complex = 0.0
-    delta: complex = 0.0
-
-    @classmethod
-    def commutator(cls) -> "Phi2Params":
-        return cls()
-
-    @classmethod
-    def traced_commutator(cls) -> "Phi2Params":
-        """The unit instance of the constrained family: (1, -1, 1, -1)."""
-        return cls.constrained(1.0, 1.0)
-
-    @classmethod
-    def constrained(cls, alpha: complex, gamma: complex) -> "Phi2Params":
-        """beta = -alpha and delta = -gamma, the identity-bearing family."""
-        return cls(alpha, -alpha, gamma, -gamma)
-
-    def as_dict(self) -> dict[str, complex]:
-        return {name: complex(v) for name, v in asdict(self).items()}
 
 
 def phi2(a: DenseTensor, b: DenseTensor, p: Phi2Params) -> DenseTensor:

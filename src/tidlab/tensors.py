@@ -12,14 +12,13 @@ trial per row; each public function on tensors is a batch of one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .diagrams import ContractionDiagram
+from .diagrams import LOWER, UPPER, ContractionDiagram, TensorShape
 
 __all__ = [
     "TensorShape",
@@ -31,28 +30,6 @@ __all__ = [
     "random_tensor",
     "kronecker_delta",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class TensorShape:
-    """Slot counts of a mixed tensor: `upper` contravariant, `lower` covariant."""
-
-    upper: int
-    lower: int
-
-    def __post_init__(self) -> None:
-        if self.upper < 0 or self.lower < 0:
-            raise ValueError(f"slot counts must be non-negative, got {self}")
-
-    @property
-    def order(self) -> int:
-        return self.upper + self.lower
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.upper, self.lower)
-
-    def __str__(self) -> str:
-        return f"({self.upper},{self.lower})"
 
 
 def grading(shape: TensorShape) -> int:
@@ -224,7 +201,7 @@ def contract(a: DenseTensor, upper_slot: int, lower_slot: int) -> DenseTensor:
 
 
 @lru_cache(maxsize=None)
-def _einsum_plan(diagram: "ContractionDiagram"):
+def _einsum_plan(diagram: ContractionDiagram):
     """Compile a diagram once into pairwise einsum steps with integer subscripts.
 
     Returns (steps, final_subs, out_sub).  Each step (i, j, sub_i, sub_j,
@@ -238,7 +215,6 @@ def _einsum_plan(diagram: "ContractionDiagram"):
     costs d^k at every d: greedily joining the pair with the fewest labels in
     their union fixes one order for all dimensions.
     """
-    from .diagrams import LOWER, UPPER  # diagrams imports this module
     ids = itertools.count()
     label: dict[tuple[int, str, int], int] = {}
     for up, low in sorted(diagram.pairs):
@@ -275,7 +251,7 @@ def _einsum_plan(diagram: "ContractionDiagram"):
 _BATCH_LABEL = (51,)
 
 
-def _contract(diagram: "ContractionDiagram", arrays: list[np.ndarray]) -> np.ndarray:
+def _contract(diagram: ContractionDiagram, arrays: list[np.ndarray]) -> np.ndarray:
     """`apply_diagram` on batches: each array is (n, dim, ...), one trial per row.
 
     For the product and chain diagrams each row is bit-identical to a batch
@@ -297,7 +273,7 @@ def _contract(diagram: "ContractionDiagram", arrays: list[np.ndarray]) -> np.nda
 
 
 def apply_diagram(
-    diagram: "ContractionDiagram", operands: list[DenseTensor]
+    diagram: ContractionDiagram, operands: list[DenseTensor]
 ) -> DenseTensor:
     """Contract the operands along every slot pair of the diagram.
 

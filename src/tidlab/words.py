@@ -17,13 +17,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from . import definitions
 from .cyclo import _VAR, VARS, CycloScalar, WeightPoly, symmetric_ideal_membership
 from .definitions import BRACKET_WORD_ORDER, HIGH, IDENTITY6_TERMS, IDENTITY18_TERMS, LOW
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TraceWord",
@@ -678,6 +679,8 @@ def evaluate_trace_sum(
     Main words become matrix products (the empty main is the identity),
     trace factors become scalar traces.
     """
+    import numpy as np  # imported here only, so the exact route runs without numpy
+
     n = next(iter(matrices.values())).shape[0]
     eye = np.eye(n, dtype=complex)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import tidlab.cli
+import tidlab.graded
 import tidlab.matrixops
 from tidlab.cli import CHECKS, RunConfig, main, parse_seeds, parse_shapes
 from tidlab.graded import CROSSED, ChainConvention, convention_search
@@ -175,13 +176,14 @@ def test_convention_auto_search(capsys):
 
 def test_convention_auto_search_uses_run_grid(capsys, monkeypatch):
     calls = []
-    real_search = tidlab.cli.convention_search
+    real_search = tidlab.graded.convention_search
 
     def spy(**kwargs):
         calls.append(kwargs)
         return real_search(**kwargs)
 
-    monkeypatch.setattr(tidlab.cli, "convention_search", spy)
+    # load_convention imports the search from graded when it runs
+    monkeypatch.setattr(tidlab.graded, "convention_search", spy)
     code, _, err = run(capsys, ["verify", "jacobi", "--seeds=-1", "--convention", "auto-search"])
     assert code == 2 and err.startswith("error:")
     assert calls == []  # an invalid run is rejected before any search

@@ -9,6 +9,9 @@ them.
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,9 @@ EXACT = {"words", "cyclo"}
 def _imported(module: str) -> set[str]:
     """tidlab modules that `module` imports anywhere, function-local imports included.
 
-    Importing the package itself (`import tidlab`, `from tidlab import phi2`)
-    runs its `__init__`, which imports every module.
+    Importing the package or a name from it (`import tidlab`, `from tidlab
+    import phi2`) counts as importing every module: the package loads each
+    public name's module on first use, which this walk does not follow.
     """
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     found = set()
@@ -65,6 +69,28 @@ def test_exact_modules_import_no_numeric_module(module):
 
 def test_definitions_import_no_tidlab_module():
     assert not _imported("definitions")
+
+
+# Run time, in a fresh interpreter: what a run has loaded when it is done.
+# The import walk above sees each module's own imports; these see the package.
+@pytest.mark.parametrize(
+    "code, absent",
+    [
+        ("import tidlab, tidlab.cli; tidlab.cli.main(['verify', 'all', '--mode', 'symbolic', '--json'])",
+         {"numpy"}),
+        ("import tidlab.cli; tidlab.cli.main(['enumerate', '(1,1)x(1,1)', '--json'])",
+         {"numpy", "tidlab.words", "tidlab.cyclo"}),
+        ("import tidlab.graded", {"tidlab.words", "tidlab.cyclo"}),
+    ],
+    ids=["symbolic-verify", "enumerate", "graded"],
+)
+def test_run_leaves_modules_unloaded(code, absent):
+    probe = f"import sys; {code}; print(sorted(set(sys.modules).intersection({sorted(absent)!r})))"
+    paths = [str(PACKAGE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _verify(suite: str, capsys) -> dict:

@@ -5,7 +5,6 @@ to the surface is always a deliberate edit of these lists.
 """
 
 import importlib
-import inspect
 
 import pytest
 
@@ -61,8 +60,20 @@ ALL = {
 
 
 def test_package_exports():
-    public = {k for k, v in vars(tidlab).items() if not k.startswith("_") and not inspect.ismodule(v)}
-    assert public == TIDLAB
+    assert set(tidlab.__all__) == TIDLAB
+    assert TIDLAB <= set(dir(tidlab))
+    for name in TIDLAB:
+        # the package's name is the object every module exporting it has
+        owners = [m for m in ALL if name in ALL[m]]
+        assert owners, name
+        for module in owners:
+            assert getattr(tidlab, name) is getattr(importlib.import_module(f"tidlab.{module}"), name), name
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tidlab.no_such_name
+    assert not hasattr(tidlab, "no_such_name")
 
 
 @pytest.mark.parametrize("module", sorted(ALL))

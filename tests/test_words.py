@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tidlab.cli import main
 from tidlab.cyclo import CycloScalar, WeightPoly
 from tidlab.matrixops import Phi2Params, phi3
 from tidlab.tensors import TensorShape, random_tensor
@@ -397,6 +398,22 @@ def test_class_table_digests():
 def test_identity18_word_report_digest():
     obj = verify_identity18_symbolic().to_json(include_words=True)
     assert _digest(obj) == IDENTITY18_WORDS_DIGEST
+
+
+# -- golden digests of the enumerator reports ----------------------------------
+
+# sha256 of the whole stdout of `tidlab enumerate (2,2)x(2,2)x(2,2) --no-self [--unordered] --json`
+ENUMERATE_REPORT_DIGESTS = {
+    (): "73e54c0340aff3337c0c9c25c7edee9bcd531c5da1cfca5ac2deaee539148e93",
+    ("--unordered",): "4c77713dcbdd9787f980c9972a986ab6a045049928ca4efc690f36b53e93826a",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(ENUMERATE_REPORT_DIGESTS))
+def test_enumerate_report_digest(capsys, flags):
+    assert main(["enumerate", "(2,2)x(2,2)x(2,2)", "--no-self", *flags, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_REPORT_DIGESTS[flags]
 
 
 # -- the shared expansion ------------------------------------------------------
