@@ -219,14 +219,12 @@ def _appendix1_symbolic(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
+    from . import definitions
     from .cyclo import _E1
     from .words import expand_three_commutator_symbolic
 
-    total = (
-        expand_three_commutator_symbolic("X", "Y", "Z")
-        + expand_three_commutator_symbolic("Z", "X", "Y")
-        + expand_three_commutator_symbolic("Y", "Z", "X")
-    )
+    terms = [expand_three_commutator_symbolic(*term) for term in definitions.CYCLIC16_TERMS]
+    total = sum(terms[1:], terms[0])
     ok = len(total) == 12 and all(c == _E1 for _, c in total.sorted_terms())
     return ok, "per-word alpha+beta+gamma" if ok else "unexpected coefficients"
 
@@ -389,8 +387,9 @@ def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
             raise ValueError(f"{source}: {exc}") from None
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n")
+def _json_text(obj: dict) -> str:
+    """A report or descriptor as written to stdout and to files."""
+    return json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +419,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports.sort(key=lambda r: r.name)
     all_pass = all(r.passed for r in reports)
     if args.json:
-        _emit_json(
+        sys.stdout.write(_json_text(
             {
                 "schema": SCHEMA,
                 "command": "verify",
@@ -429,7 +428,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "checks": [r.to_json() for r in reports],
                 "all_pass": all_pass,
             }
-        )
+        ))
     else:
         for r in reports:
             print(r.text())
@@ -471,7 +470,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     diagrams = enumerate_diagrams(shapes, options)
     histogram = classify_by_output(diagrams)
     if args.json:
-        _emit_json(
+        sys.stdout.write(_json_text(
             {
                 "schema": SCHEMA,
                 "command": "enumerate",
@@ -484,7 +483,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "by_output": {str(k): v for k, v in histogram.items()},
                 "diagrams": [d.to_json() for d in diagrams],
             }
-        )
+        ))
     else:
         for i, d in enumerate(diagrams):
             print(f"#{i}: output {d.output_shape}  pairs {list(d.sort_key()[1])}")
@@ -517,16 +516,16 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
             for t in trials
         ],
     }
+    text = _json_text(descriptor)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(descriptor, fh, indent=2, allow_nan=False)
-                fh.write("\n")
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write descriptor: {exc}", file=sys.stderr)
             return 2
     if args.json:
-        _emit_json(descriptor)
+        sys.stdout.write(text)
     else:
         for t in trials:
             mark = "PASS" if t.passes(cfg.tolerance_rel) else "FAIL"

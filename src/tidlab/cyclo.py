@@ -274,42 +274,32 @@ class WeightPoly:
                 terms[reduced] = c
         return WeightPoly(terms)
 
-    def substitute(self, assignment: Mapping[str, "WeightPoly"]) -> "WeightPoly":
-        """Replace variables by polynomials."""
-        out = WeightPoly.zero()
-        for mono, coeff in self.terms.items():
-            term = WeightPoly.constant(coeff)
-            for name, exp in zip(VARS, mono):
-                if exp == 0:
-                    continue
-                base = assignment.get(name, _VAR[name])
-                term = term * base**exp
-            out = out + term
-        return out
+    def _evaluate(self, total, coeff, value):
+        """total + the sum, in term order, of each term's coeff(c) * value(name)**exp * ...
 
-    def evaluate_cyclo(self, assignment: Mapping[str, CycloScalar]) -> CycloScalar:
-        """Exact evaluation at CycloScalar points (all used variables required)."""
-        total = CycloScalar.zero()
-        for mono, coeff in self.terms.items():
-            val = coeff
+        `coeff` and `value` map coefficients and variables into the target ring.
+        """
+        for mono, c in self.terms.items():
+            val = coeff(c)
             for name, exp in zip(VARS, mono):
-                if exp == 0:
-                    continue
-                if name not in assignment:
-                    raise ValueError(f"no value for variable {name!r}")
-                val = val * assignment[name] ** exp
+                if exp:
+                    val = val * value(name) ** exp
             total = total + val
         return total
 
+    def substitute(self, assignment: Mapping[str, "WeightPoly"]) -> "WeightPoly":
+        """Replace variables by polynomials."""
+        return self._evaluate(WeightPoly.zero(), WeightPoly.constant, lambda name: assignment.get(name, _VAR[name]))
+
+    def evaluate_cyclo(self, assignment: Mapping[str, CycloScalar]) -> CycloScalar:
+        """Exact evaluation at CycloScalar points (all used variables required)."""
+        try:
+            return self._evaluate(CycloScalar.zero(), lambda c: c, lambda name: assignment[name])
+        except KeyError as exc:
+            raise ValueError(f"no value for variable {exc.args[0]!r}") from None
+
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
-        total = 0j
-        for mono, coeff in self.terms.items():
-            val = coeff.to_complex()
-            for name, exp in zip(VARS, mono):
-                if exp:
-                    val *= complex(assignment[name]) ** exp
-            total += val
-        return total
+        return self._evaluate(0j, CycloScalar.to_complex, lambda name: complex(assignment[name]))
 
     def divmod_in_var(
         self, divisor: "WeightPoly", name: str

@@ -14,10 +14,19 @@ import itertools
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 
-__all__ = ["HIGH", "LOW", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER", "IDENTITY18_TERMS", "OMEGA"]
+__all__ = [
+    "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
+    "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA",
+]
 
 HIGH = "high"  # word type with (2,1) components at even (0-based) positions
 LOW = "low"  # word type with (1,2) components at even (0-based) positions
+
+# the three-symbol cyclic sum, in printed order: "XYZ" means (X∘Y)∘Z
+JACOBI_TERMS: tuple[str, ...] = ("ABC", "BCA", "CAB")
+
+# its closed form at (1,-1,1,-1): the sum of Tr(T)·(PQ - RS) over (T, PQ, RS)
+CLOSED_REMAINDER_TERMS: tuple[tuple[str, str, str], ...] = (("A", "CB", "BC"), ("B", "AC", "CA"), ("C", "BA", "AB"))
 
 # the twelve four-symbol terms, in printed order: "WXYZ" means ((W∘X)∘Y)∘Z
 IDENTITY6_TERMS: tuple[str, ...] = (
@@ -37,6 +46,9 @@ BRACKET_WORD_ORDER: tuple[tuple[tuple[int, int, int], str], ...] = (
     ((0, 2, 1), "gamma"),
     ((1, 2, 0), "gamma"),
 )
+
+# the ternary cyclic sum, in printed order: "XYZ" means the bracket (X,Y,Z)
+CYCLIC16_TERMS: tuple[str, ...] = ("ABC", "CAB", "BCA")
 
 # the twenty five-symbol terms: "PQRST" means ((P,Q,R) S, T)
 IDENTITY18_TERMS: tuple[str, ...] = (

@@ -245,8 +245,9 @@ def _pair_sum(terms: list[dict]) -> dict:
 
 
 def _cyclic(x, y, z, weights, convention):
+    v = {"A": x, "B": y, "C": z}
     bracket = partial(_three_commutator, weights=weights, convention=convention)
-    return _pair_sum([bracket(x, y, z), bracket(z, x, y), bracket(y, z, x)])
+    return _pair_sum([bracket(v[p], v[q], v[r]) for p, q, r in definitions.CYCLIC16_TERMS])
 
 
 def _identity18(a, b, c, d, e, weights, convention):

@@ -114,11 +114,9 @@ def _phi4(a1, a2, a3, a4, p):
 
 
 def _jacobi(a, b, c, p):
-    return (
-        _phi2(_phi2(a, b, p), c, p)
-        + _phi2(_phi2(b, c, p), a, p)
-        + _phi2(_phi2(c, a, p), b, p)
-    )
+    m = {"A": a, "B": b, "C": c}
+    terms = [_phi2(_phi2(m[x], m[y], p), m[z], p) for x, y, z in definitions.JACOBI_TERMS]
+    return sum(terms[1:], terms[0])
 
 
 def _identity6(a, b, c, d, p):
@@ -150,13 +148,9 @@ def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTen
     for t, name in ((a, "a"), (b, "b"), (c, "c")):
         if t.shape != _MAT:
             raise ValueError(f"{name} must be a (1,1) tensor, got {t.shape}")
-    am, bm, cm = a.data, b.data, c.data
-    out = (
-        np.trace(am) * (cm @ bm - bm @ cm)
-        + np.trace(bm) * (am @ cm - cm @ am)
-        + np.trace(cm) * (bm @ am - am @ bm)
-    )
-    return DenseTensor(_MAT, a.dim, out)
+    m = {"A": a.data, "B": b.data, "C": c.data}
+    terms = [np.trace(m[t]) * (m[p] @ m[q] - m[r] @ m[s]) for t, (p, q), (r, s) in definitions.CLOSED_REMAINDER_TERMS]
+    return DenseTensor(_MAT, a.dim, sum(terms[1:], terms[0]))
 
 
 def relative_residual(residual, operands: Sequence) -> float:

@@ -291,9 +291,10 @@ def phi4_symbolic(
 
 def cyclic_sum_symbolic(a: str, b: str, c: str, params=None) -> FormalSum:
     """(a∘b)∘c + (b∘c)∘a + (c∘a)∘b over trace words."""
-    xa, xb, xc = symbol_word(a), symbol_word(b), symbol_word(c)
+    x = {"A": symbol_word(a), "B": symbol_word(b), "C": symbol_word(c)}
     f = lambda u, v: expand_phi2_symbolic(u, v, params)
-    return f(f(xa, xb), xc) + f(f(xb, xc), xa) + f(f(xc, xa), xb)
+    terms = [f(f(x[p], x[q]), x[r]) for p, q, r in definitions.JACOBI_TERMS]
+    return sum(terms[1:], terms[0])
 
 
 def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
@@ -303,10 +304,12 @@ def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
     delta = -gamma.
     """
     ag = _VAR["alpha"] * _VAR["gamma"]
+    x = {"A": a, "B": b, "C": c}
     terms: dict = {}
-    for tr, plus, minus in ((a, (c, b), (b, c)), (b, (a, c), (c, a)), (c, (b, a), (a, b))):
-        terms[TraceWord(plus, ((tr,),))] = ag
-        terms[TraceWord(minus, ((tr,),))] = -ag
+    for tr, plus, minus in definitions.CLOSED_REMAINDER_TERMS:
+        for pq, coeff in ((plus, ag), (minus, -ag)):
+            word = TraceWord([x[s] for s in pq], ((x[tr],),))
+            terms[word] = terms.get(word, WeightPoly.zero()) + coeff
     return FormalSum(terms)
 
 

@@ -163,6 +163,24 @@ def test_convention_search_descriptor_and_reuse(tmp_path, capsys):
     assert code == 0
 
 
+def test_convention_search_out_file_holds_the_json_stdout(tmp_path, capsys):
+    path = tmp_path / "convention.json"
+    code, out, _ = run(capsys, ["convention-search", "--dim", "2", "--seeds", "1", "--out", str(path), "--json"])
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_convention_search_text_output(capsys):
+    code, out, _ = run(capsys, ["convention-search", "--dim", "2", "--seeds", "1"])
+    assert code == 0
+    *trials, last = out.splitlines()
+    assert len(trials) == 16
+    assert all(line.split()[0] in ("PASS", "FAIL") for line in trials)
+    survivors = ["pppp", "pxpx", "pxxp", "xppx", "xpxp", "xxxx"]
+    assert [line.split()[1] for line in trials if line.startswith("PASS")] == survivors
+    assert last == f"survivors: {survivors}"
+
+
 def test_convention_auto_search(capsys):
     code, out, _ = run(
         capsys,
@@ -356,6 +374,11 @@ def test_explicitly_empty_value_usage_error(capsys, monkeypatch, argv):
 def test_run_config_rejects_empty_seeds():
     with pytest.raises(ValueError, match="seeds must be non-empty"):
         RunConfig(seeds=())
+
+
+def test_run_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        RunConfig(mode="bogus")
 
 
 def test_run_config_weights(capsys):

@@ -14,10 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tidlab.definitions
 from tidlab.cli import main
+from tidlab.matrixops import closed_remainder
+from tidlab.tensors import TensorShape, random_tensor
+from tidlab.words import closed_remainder_symbolic, evaluate_trace_sum
 
 PACKAGE = Path(tidlab.definitions.__file__).resolve().parent
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
@@ -100,14 +104,21 @@ def _verify(suite: str, capsys) -> dict:
     return {c["name"]: c for c in report["checks"]}
 
 
-@pytest.mark.parametrize(
-    "name, term, suite, numeric, exact, detail",
-    [
-        ("IDENTITY6_TERMS", "ABDC", "identity6", "identity6/numeric", "identity6/symbolic", "16 residual words"),
-        ("IDENTITY18_TERMS", "ABCED", "identity18", "identity18/numeric", "appendix2/exact",
-         "matches no class polynomial"),
-    ],
-)
+# one case per term table: (table, its first term replaced by, suite, numeric row, exact row, exact digest)
+MUTATIONS = [
+    ("IDENTITY6_TERMS", "ABDC", "identity6", "identity6/numeric", "identity6/symbolic", "16 residual words"),
+    ("IDENTITY18_TERMS", "ABCED", "identity18", "identity18/numeric", "appendix2/exact",
+     "matches no class polynomial"),
+    ("JACOBI_TERMS", "ACB", "appendix1", "appendix1/numeric", "appendix1/symbolic", "mismatch"),
+    ("CYCLIC16_TERMS", "ACB", "cyclic16", "cyclic16/numeric", "cyclic16/symbolic", "unexpected coefficients"),
+    ("CLOSED_REMAINDER_TERMS", ("A", "BC", "CB"), "appendix1", "appendix1/numeric", "appendix1/symbolic",
+     "mismatch"),
+]
+# every term table has a control, checked when the tests are collected
+assert {m[0] for m in MUTATIONS} == {n for n in tidlab.definitions.__all__ if n.endswith("_TERMS")}
+
+
+@pytest.mark.parametrize("name, term, suite, numeric, exact, detail", MUTATIONS)
 def test_one_mutated_definition_fails_both_routes(monkeypatch, capsys, name, term, suite, numeric, exact, detail):
     intact = _verify(suite, capsys)
     assert intact[numeric]["pass"] and intact[exact]["pass"]
@@ -119,6 +130,17 @@ def test_one_mutated_definition_fails_both_routes(monkeypatch, capsys, name, ter
     assert checks[numeric]["residual"] > 0.1
     assert not checks[exact]["pass"]
     assert detail in checks[exact]["digest"]
+
+
+def test_both_closed_forms_sum_every_row_of_the_table(monkeypatch):
+    # a repeated row counts twice, and a row whose two products are equal counts zero, in both routes
+    rows = (("A", "CB", "BC"),) * 2 + (("C", "AB", "AB"),)
+    monkeypatch.setattr(tidlab.definitions, "CLOSED_REMAINDER_TERMS", rows)
+    mats = [random_tensor(TensorShape(1, 1), 3, seed) for seed in (1, 2, 3)]
+    symbolic = closed_remainder_symbolic("A", "B", "C")
+    assert len(symbolic) == 2
+    evaluated = evaluate_trace_sum(symbolic, {s: m.data for s, m in zip("ABC", mats)}, {"alpha": 1, "gamma": 1})
+    assert np.allclose(closed_remainder(*mats).data, evaluated, rtol=0, atol=1e-12)
 
 
 def test_mutated_definition_fails_after_the_intact_expansion_is_cached(monkeypatch, capsys):

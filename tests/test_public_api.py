@@ -28,7 +28,10 @@ TIDLAB = {
 
 ALL = {
     "cyclo": {"CycloScalar", "WeightPoly", "VARS", "symmetric_ideal_membership"},
-    "definitions": {"HIGH", "LOW", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER", "IDENTITY18_TERMS", "OMEGA"},
+    "definitions": {
+        "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
+        "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA",
+    },
     "diagrams": {
         "UPPER", "LOWER", "SlotRef", "ContractionDiagram", "EnumOptions", "UNORDERED_CONNECTED",
         "enumerate_diagrams", "classify_by_output", "count_primary_operations", "linear_family",

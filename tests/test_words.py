@@ -227,6 +227,18 @@ def test_cyclic_sum_per_word_coefficient_is_weight_sum():
     assert all(coeff == e1 for _, coeff in total.sorted_terms())
 
 
+def test_cyclic_sum_with_explicit_weights():
+    def cyclic(weights):
+        brackets = [expand_three_commutator_symbolic(*args, weights=weights) for args in ("XYZ", "ZXY", "YZX")]
+        return sum(brackets[1:], brackets[0])
+
+    total = cyclic((1, 2, 3))
+    assert len(total) == 12
+    assert all(coeff == WeightPoly.constant(6) for _, coeff in total.sorted_terms())
+    # 1 + w + w^2 = 0
+    assert cyclic(canonical_cubic_weights()) == FormalSum.zero()
+
+
 def test_repeated_argument_collapses_weights():
     out = expand_three_commutator_symbolic("X", "X", "X")
     two_e1 = WeightPoly.constant(2) * (VA + VB + VG)
