@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from operator import add
+from typing import Iterable, Mapping, Sequence, Union
 
 from .definitions import OMEGA
 
@@ -32,14 +33,21 @@ def _frac(x: RationalLike) -> RationalLike:
 
 
 def _power(base, n: int, one):
-    """base**n for n >= 0 by square-and-multiply."""
+    """base**n for n >= 0 by square-and-multiply; the last set bit squares no further."""
     out = one
     while n:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return out
+
+
+def _times(a, b, c, d):
+    """Coordinates of (a + bw)(c + dw) = ac + (ad + bc)w + bd w^2, with w^2 = -1 - w."""
+    bd = b * d
+    return a * c - bd, a * d + b * c - bd
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,12 @@ class CycloScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloScalar(self.a + o.a, self.b + o.b)
+        return _scalar(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar(-self.a, -self.b)
+        return _scalar(-self.a, -self.b)
 
     def __sub__(self, other) -> "CycloScalar":
         o = self._coerce(other)
@@ -105,9 +113,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # (a + bw)(c + dw) = ac + (ad + bc)w + bd w^2,  w^2 = -1 - w
-        a, b, c, d = self.a, self.b, o.a, o.b
-        return CycloScalar(a * c - b * d, a * d + b * c - b * d)
+        return _scalar(*_times(self.a, self.b, o.a, o.b))
 
     __rmul__ = __mul__
 
@@ -145,6 +151,14 @@ class CycloScalar:
 
     def __repr__(self) -> str:
         return f"CycloScalar({self.a}, {self.b})"
+
+
+def _scalar(a: RationalLike, b: RationalLike) -> CycloScalar:
+    """CycloScalar(a, b) for coordinates computed from normalized ones: an int skips _frac."""
+    s = object.__new__(CycloScalar)
+    object.__setattr__(s, "a", a if type(a) is int else _frac(a))
+    object.__setattr__(s, "b", b if type(b) is int else _frac(b))
+    return s
 
 
 VARS = ("alpha", "beta", "gamma", "delta")
@@ -209,15 +223,12 @@ class WeightPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in o.terms.items():
-            terms[mono] = terms.get(mono, CycloScalar.zero()) + coeff
-        return WeightPoly(terms)
+        return _sum_polys((self, o))
 
     __radd__ = __add__
 
     def __neg__(self) -> "WeightPoly":
-        return WeightPoly({m: -c for m, c in self.terms.items()})
+        return _poly({m: (-c.a, -c.b) for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightPoly":
         o = self._coerce(other)
@@ -232,12 +243,15 @@ class WeightPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], CycloScalar] = {}
+        pairs: dict[tuple[int, ...], list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, CycloScalar.zero()) + c1 * c2
-        return WeightPoly(terms)
+                mono = tuple(map(add, m1, m2))
+                a, b = _times(c1.a, c1.b, c2.a, c2.b)
+                pair = pairs.setdefault(mono, [0, 0])
+                pair[0] += a
+                pair[1] += b
+        return _poly(pairs)
 
     __rmul__ = __mul__
 
@@ -347,6 +361,27 @@ class WeightPoly:
 
     def __repr__(self) -> str:
         return f"WeightPoly({self})"
+
+
+def _poly(pairs: Mapping[tuple[int, ...], Sequence[RationalLike]]) -> WeightPoly:
+    """WeightPoly from valid monomials -> (a, b) arithmetic results, in order; zero pairs are dropped."""
+    p = object.__new__(WeightPoly)
+    object.__setattr__(p, "terms", {m: _scalar(a, b) for m, (a, b) in pairs.items() if a or b})
+    return p
+
+
+def _sum_polys(polys: Iterable[WeightPoly]) -> WeightPoly:
+    """The sum of polys in one pass.  A cancelled monomial is deleted, so a later
+    term appends it at the end, as in the chained sum (p1 + p2) + p3."""
+    pairs: dict[tuple[int, ...], list] = {}
+    for p in polys:
+        for mono, c in p.terms.items():
+            pair = pairs.setdefault(mono, [0, 0])
+            pair[0] += c.a
+            pair[1] += c.b
+            if not (pair[0] or pair[1]):
+                del pairs[mono]
+    return _poly(pairs)
 
 
 _VAR = {name: WeightPoly.variable(name) for name in VARS}

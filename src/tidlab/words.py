@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from . import definitions
-from .cyclo import _VAR, VARS, CycloScalar, WeightPoly, symmetric_ideal_membership
+from .cyclo import _VAR, VARS, CycloScalar, WeightPoly, _sum_polys, symmetric_ideal_membership
 from .definitions import BRACKET_WORD_ORDER, HIGH, IDENTITY6_TERMS, IDENTITY18_TERMS, LOW
 
 if TYPE_CHECKING:
@@ -187,10 +187,7 @@ class FormalSum:
         return self.terms.get(word, WeightPoly.zero())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, WeightPoly.zero()) + coeff
-        return FormalSum(terms)
+        return _formal_sum(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "FormalSum":
         return FormalSum({w: -c for w, c in self.terms.items()})
@@ -227,6 +224,14 @@ class FormalSum:
         return "  +  ".join(f"[{c}] {w}" for w, c in self.sorted_terms())
 
 
+def _formal_sum(pairs: Iterable[tuple[object, WeightPoly]]) -> FormalSum:
+    """The FormalSum of (word, poly) pairs, each word's polys summed once, in first-seen order."""
+    polys: dict = {}
+    for word, poly in pairs:
+        polys.setdefault(word, []).append(poly)
+    return FormalSum({w: ps[0] if len(ps) == 1 else _sum_polys(ps) for w, ps in polys.items()})
+
+
 def symbol_word(name: str) -> FormalSum:
     """The single matrix symbol as a trace-word sum."""
     return FormalSum.from_word(TraceWord((name,)))
@@ -249,12 +254,9 @@ def constrained_params() -> tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly
 
 
 def _bilinear(x: FormalSum, y: FormalSum, word_op) -> FormalSum:
-    terms: dict = {}
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            word = word_op(wx, wy)
-            terms[word] = terms.get(word, WeightPoly.zero()) + cx * cy
-    return FormalSum(terms)
+    return _formal_sum(
+        (word_op(wx, wy), cx * cy) for wx, cx in x.terms.items() for wy, cy in y.terms.items()
+    )
 
 
 def expand_phi2_symbolic(
@@ -305,12 +307,11 @@ def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
     """
     ag = _VAR["alpha"] * _VAR["gamma"]
     x = {"A": a, "B": b, "C": c}
-    terms: dict = {}
-    for tr, plus, minus in definitions.CLOSED_REMAINDER_TERMS:
-        for pq, coeff in ((plus, ag), (minus, -ag)):
-            word = TraceWord([x[s] for s in pq], ((x[tr],),))
-            terms[word] = terms.get(word, WeightPoly.zero()) + coeff
-    return FormalSum(terms)
+    return _formal_sum(
+        (TraceWord([x[s] for s in pq], ((x[tr],),)), coeff)
+        for tr, plus, minus in definitions.CLOSED_REMAINDER_TERMS
+        for pq, coeff in ((plus, ag), (minus, -ag))
+    )
 
 
 @dataclass(frozen=True)
@@ -396,11 +397,10 @@ def expand_three_commutator_symbolic(
     Contraction schemes live below word resolution and are excluded here.
     """
     table = _bracket_weights(weights)
-    terms: dict = {}
-    for symbols, kind, wname in _bracket_words((x, y, z), definitions.BRACKET_WORD_ORDER):
-        word = GradedWord(symbols, kind)
-        terms[word] = terms.get(word, WeightPoly.zero()) + table[wname]
-    return FormalSum(terms)
+    return _formal_sum(
+        (GradedWord(symbols, kind), table[wname])
+        for symbols, kind, wname in _bracket_words((x, y, z), definitions.BRACKET_WORD_ORDER)
+    )
 
 
 @dataclass(frozen=True)
@@ -541,12 +541,13 @@ def verify_identity18_symbolic(weights="symbolic") -> Identity18Report:
     failures: list[str] = []
 
     per_kind: dict[str, int] = {HIGH: 0, LOW: 0}
-    occurrences: dict[GradedWord, int] = {}
-    totals: dict[GradedWord, WeightPoly] = {}
+    weights_of: dict[GradedWord, list[WeightPoly]] = {}
     for inst in instances:
         per_kind[inst.word.kind] += 1
-        occurrences[inst.word] = occurrences.get(inst.word, 0) + 1
-        totals[inst.word] = totals.get(inst.word, WeightPoly.zero()) + inst.weight
+        weights_of.setdefault(inst.word, []).append(inst.weight)
+    occurrences = {w: len(ws) for w, ws in weights_of.items()}
+    # every word that occurs keeps its total, so a total that cancels still fails
+    totals = {w: _sum_polys(ws) for w, ws in weights_of.items()}
 
     if len(instances) != 1440:
         failures.append(f"instance count {len(instances)} != 1440")
@@ -627,35 +628,34 @@ def build_class_table(
     pair = frozenset(pair)
     if instances is None:
         instances = expand_identity18_instances()
-    symbols = sorted({s for inst in instances for s in inst.word.symbols})
-    if len(pair) != 2 or not pair <= set(symbols):
-        raise ValueError(f"class key must be two distinct symbols of {''.join(symbols)}, got {sorted(pair)}")
+    own = [inst for inst in instances if inst.word.kind == kind and _word_class(inst.word) == pair]
+    if len(pair) != 2 or not own:
+        known = "".join(sorted({s for inst in instances for s in inst.word.symbols}))
+        raise ValueError(f"class key must be two distinct symbols of {known}, got {sorted(pair)}")
+    symbols = sorted({s for inst in own for s in inst.word.symbols})
     subsets = sorted(
         "".join(sub) for sub in itertools.combinations(symbols, 3)
     )
     excluded = "".join(sorted(set(symbols) - pair))
     rows: dict[str, dict] = {}
-    for inst in instances:
-        w = inst.word
-        if w.kind != kind or _word_class(w) != pair:
-            continue
-        label = "".join(w.symbols)
-        row = rows.setdefault(label, {"cells": {}, "total": WeightPoly.zero()})
+    for inst in own:
+        row = rows.setdefault("".join(inst.word.symbols), {"cells": {}, "weights": []})
         subset = "".join(sorted(inst.inner))
         row["cells"].setdefault(subset, []).append(
             {"term": inst.term, "window": "".join(inst.inner), "weight": str(inst.weight)}
         )
-        row["total"] = row["total"] + inst.weight
+        row["weights"].append(inst.weight)
     table_rows = []
     for label in sorted(rows):
         row = rows[label]
+        total = _sum_polys(row["weights"])
         table_rows.append(
             {
                 "word": label,
                 "generators": sorted(row["cells"]),
                 "cells": {s: row["cells"].get(s, []) for s in subsets},
-                "total": str(row["total"]),
-                "equation": _equation_of(row["total"]),
+                "total": str(total),
+                "equation": _equation_of(total),
             }
         )
     return {

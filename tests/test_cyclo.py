@@ -100,6 +100,26 @@ def test_str_repr_and_hash_match_fraction_coordinates():
             assert hash(x) == hash((a, b))
 
 
+@pytest.mark.parametrize("base", [CycloScalar(1, 1), WeightPoly.variable("alpha") + 1], ids=["scalar", "poly"])
+@pytest.mark.parametrize("n", range(10))
+def test_power_squares_only_up_to_the_last_set_bit(monkeypatch, base, n):
+    # square-and-multiply: one product per set bit (the first with one), one squaring per later bit
+    cls = type(base)
+    expected = base.one()
+    for _ in range(n):
+        expected = expected * base
+    calls = []
+    mul = cls.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    assert base**n == expected
+    assert len(calls) == (bin(n).count("1") + n.bit_length() - 1 if n else 0)
+
+
 # -- weight polynomials ------------------------------------------------------
 
 A = WeightPoly.variable("alpha")

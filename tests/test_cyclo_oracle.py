@@ -9,12 +9,13 @@ in the reduction rule or in the coordinate arithmetic shows as a disagreement.
 
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tidlab.cyclo import _E1, VARS, CycloScalar, WeightPoly, symmetric_ideal_membership
-from tidlab.words import WEIGHT_CLASS_POLYS
+from tidlab.words import WEIGHT_CLASS_POLYS, FormalSum, TraceWord, expand_phi2_symbolic, generic_params
 
 W = sp.Symbol("w")
 SYMS = sp.symbols(VARS)
@@ -40,6 +41,20 @@ def reduced(expr: sp.Expr) -> sp.Expr:
 
 def assert_same(p: WeightPoly, expr: sp.Expr) -> None:
     assert reduced(to_sympy(p) - expr) == 0, (str(p), expr)
+    # an integral coordinate is an int, so arithmetic in Z[w] stays in ints
+    for c in p.terms.values():
+        for x in (c.a, c.b):
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(c)
+
+
+def assert_same_sum(fs: FormalSum, exprs: dict) -> None:
+    """Each word's coefficient in fs agrees with exprs (word -> sympy expression, 0 if absent)."""
+    for word in set(fs.terms) | set(exprs):
+        assert_same(fs.coefficient(word), exprs.get(word, 0))
+
+
+def sum_to_sympy(fs: FormalSum) -> dict:
+    return {w: to_sympy(c) for w, c in fs.terms.items()}
 
 
 rationals = st.one_of(
@@ -49,6 +64,9 @@ rationals = st.one_of(
 scalars = st.builds(CycloScalar, rationals, rationals)
 monomials = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in VARS))
 polys = st.builds(WeightPoly, st.dictionaries(monomials, scalars, max_size=4))
+letters = st.lists(st.sampled_from("AB"), min_size=1, max_size=2)
+trace_words = st.builds(TraceWord, letters, st.lists(letters, max_size=1))
+sums = st.dictionaries(trace_words, polys, max_size=3).map(FormalSum)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,3 +118,47 @@ def test_oracle_sees_a_wrong_reduction_rule():
     assert_same(w * w, W**2)
     assert reduced(to_sympy(w * w) - W) != 0
     assert to_sympy(WeightPoly.constant(Fraction(1, 2))) == sp.Rational(1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sums, sums, polys)
+def test_formal_sum_arithmetic_agrees_with_sympy(x, y, p):
+    sx, sy = sum_to_sympy(x), sum_to_sympy(y)
+    words = set(sx) | set(sy)
+    assert_same_sum(x + y, {w: sx.get(w, 0) + sy.get(w, 0) for w in words})
+    assert_same_sum(x - y, {w: sx.get(w, 0) - sy.get(w, 0) for w in words})
+    assert_same_sum(x * p, {w: e * to_sympy(p) for w, e in sx.items()})
+
+
+@settings(max_examples=15, deadline=None)
+@given(sums, sums)
+def test_phi2_expansion_agrees_with_sympy(x, y):
+    # alpha*xy + beta*yx + gamma*x*Tr(y) + delta*y*Tr(x), word pair by word pair
+    alpha, beta, gamma, delta = SYMS
+    expected: dict = {}
+    for wx, cx in sum_to_sympy(x).items():
+        for wy, cy in sum_to_sympy(y).items():
+            for word, weight in (
+                (wx.times(wy), alpha),
+                (wy.times(wx), beta),
+                (wx.times_trace_of(wy), gamma),
+                (wy.times_trace_of(wx), delta),
+            ):
+                expected[word] = expected.get(word, 0) + weight * cx * cy
+    assert_same_sum(expand_phi2_symbolic(x, y, generic_params()), expected)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: CycloScalar(1) + 0.5,
+        lambda: CycloScalar(1) * 0.5,
+        lambda: WeightPoly.one() * 0.5,
+        lambda: WeightPoly.one() + 0.5,
+        lambda: FormalSum.from_word(TraceWord("A")) * 0.5,
+    ],
+    ids=["scalar-add", "scalar-mul", "poly-mul", "poly-add", "sum-mul"],
+)
+def test_a_float_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -405,6 +406,19 @@ def test_class_table_digests():
     instances = expand_identity18_instances()
     for (pair, kind), expected in CLASS_TABLE_DIGESTS.items():
         assert _digest(build_class_table(pair, kind, instances)) == expected, (pair, kind)
+
+
+def test_a_word_whose_weights_cancel_still_fails(monkeypatch):
+    instances = expand_identity18_instances()
+    word = instances[0].word
+    same = [i for i in instances if i.word == word]
+    rest = sum((i.weight for i in same[:-1]), WeightPoly.zero())
+    patched = [replace(i, weight=-rest) if i is same[-1] else i for i in instances]
+    monkeypatch.setattr("tidlab.words.expand_identity18_instances", lambda: patched)
+    report = verify_identity18_symbolic()
+    assert report.word_totals[word].is_zero()
+    assert not report.passed
+    assert f"word {word} total 0 matches no class polynomial" in report.failures
 
 
 def test_identity18_word_report_digest():
