@@ -371,8 +371,7 @@ def _poly(pairs: Mapping[tuple[int, ...], Sequence[RationalLike]]) -> WeightPoly
 
 
 def _sum_polys(polys: Iterable[WeightPoly]) -> WeightPoly:
-    """The sum of polys in one pass.  A cancelled monomial is deleted, so a later
-    term appends it at the end, as in the chained sum (p1 + p2) + p3."""
+    """The sum of polys in one pass, each monomial where the chained sum (p1 + p2) + p3 puts it."""
     pairs: dict[tuple[int, ...], list] = {}
     for p in polys:
         for mono, c in p.terms.items():
@@ -380,7 +379,7 @@ def _sum_polys(polys: Iterable[WeightPoly]) -> WeightPoly:
             pair[0] += c.a
             pair[1] += c.b
             if not (pair[0] or pair[1]):
-                del pairs[mono]
+                del pairs[mono]  # so a later term appends it at the end, as a chained sum does
     return _poly(pairs)
 
 
