@@ -58,8 +58,8 @@ class CycloScalar:
     b: RationalLike
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
+        object.__setattr__(self, "a", a if type(a) is int else _frac(a))
+        object.__setattr__(self, "b", b if type(b) is int else _frac(b))
 
     # -- constants ----------------------------------------------------------
 
@@ -93,12 +93,12 @@ class CycloScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _scalar(self.a + o.a, self.b + o.b)
+        return CycloScalar(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloScalar":
-        return _scalar(-self.a, -self.b)
+        return CycloScalar(-self.a, -self.b)
 
     def __sub__(self, other) -> "CycloScalar":
         o = self._coerce(other)
@@ -113,7 +113,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _scalar(*_times(self.a, self.b, o.a, o.b))
+        return CycloScalar(*_times(self.a, self.b, o.a, o.b))
 
     __rmul__ = __mul__
 
@@ -151,14 +151,6 @@ class CycloScalar:
 
     def __repr__(self) -> str:
         return f"CycloScalar({self.a}, {self.b})"
-
-
-def _scalar(a: RationalLike, b: RationalLike) -> CycloScalar:
-    """CycloScalar(a, b) for coordinates computed from normalized ones: an int skips _frac."""
-    s = object.__new__(CycloScalar)
-    object.__setattr__(s, "a", a if type(a) is int else _frac(a))
-    object.__setattr__(s, "b", b if type(b) is int else _frac(b))
-    return s
 
 
 VARS = ("alpha", "beta", "gamma", "delta")
@@ -366,7 +358,7 @@ class WeightPoly:
 def _poly(pairs: Mapping[tuple[int, ...], Sequence[RationalLike]]) -> WeightPoly:
     """WeightPoly from valid monomials -> (a, b) arithmetic results, in order; zero pairs are dropped."""
     p = object.__new__(WeightPoly)
-    object.__setattr__(p, "terms", {m: _scalar(a, b) for m, (a, b) in pairs.items() if a or b})
+    object.__setattr__(p, "terms", {m: CycloScalar(a, b) for m, (a, b) in pairs.items() if a or b})
     return p
 
 

@@ -629,10 +629,10 @@ def build_class_table(
     if instances is None:
         instances = expand_identity18_instances()
     own = [inst for inst in instances if inst.word.kind == kind and _word_class(inst.word) == pair]
-    if len(pair) != 2 or not own:
-        known = "".join(sorted({s for inst in instances for s in inst.word.symbols}))
-        raise ValueError(f"class key must be two distinct symbols of {known}, got {sorted(pair)}")
-    symbols = sorted({s for inst in own for s in inst.word.symbols})
+    # a class word holds its own pair, so only an empty class needs every instance's symbols
+    symbols = sorted({s for inst in (own or instances) for s in inst.word.symbols})
+    if len(pair) != 2 or not pair <= set(symbols):
+        raise ValueError(f"class key must be two distinct symbols of {''.join(symbols)}, got {sorted(pair)}")
     subsets = sorted(
         "".join(sub) for sub in itertools.combinations(symbols, 3)
     )

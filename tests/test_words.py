@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -406,6 +407,14 @@ def test_class_table_digests():
     instances = expand_identity18_instances()
     for (pair, kind), expected in CLASS_TABLE_DIGESTS.items():
         assert _digest(build_class_table(pair, kind, instances)) == expected, (pair, kind)
+
+
+def test_a_class_with_no_word_of_the_kind_gives_an_empty_table():
+    low_only = [i for i in expand_identity18_instances() if i.word.kind == LOW]
+    table = build_class_table(("A", "B"), HIGH, low_only)
+    assert table["rows"] == []
+    assert table["columns"] == sorted("".join(s) for s in itertools.combinations("ABCDE", 3))
+    assert table["excluded_subset"] == "CDE"
 
 
 def test_a_word_whose_weights_cancel_still_fails(monkeypatch):
