@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -228,14 +229,6 @@ def _connected(n: int, pairs: _Matching) -> bool:
     return len({find(i) for i in range(n)}) <= 1
 
 
-def _canonical_key(pairs: _Matching, op_perms: list[tuple[int, ...]], quot_slots: bool) -> tuple:
-    """Minimal encoding of a matching over its symmetry-group orbit."""
-    # Slots within an operand permute freely, so the operand-level edge counts fix a slot orbit.
-    if quot_slots:
-        return min(tuple(sorted((p[u], p[l]) for u, _, l, _ in pairs)) for p in op_perms)
-    return min(tuple(sorted((p[u], up, p[l], lp) for u, up, l, lp in pairs)) for p in op_perms)
-
-
 def enumerate_diagrams(
     shapes: list[TensorShape] | tuple[TensorShape, ...],
     options: EnumOptions = EnumOptions(),
@@ -261,13 +254,22 @@ def enumerate_diagrams(
     total_low = sum(s.lower for s in shapes)
     out = options.required_output_shape
     chosen: dict[tuple, tuple] = {}  # key -> smallest sort key in the orbit
+    # Slots within an operand permute freely, so under the slot quotient the sorted
+    # operand-level edges fix the orbit; each distinct edge multiset is minimised once.
+    slot_orbits: dict[tuple, tuple] = {}
     for pairs in _all_matchings(shapes, options.forbid_self_contraction):
         n = len(pairs)
         if out is not None and (total_up - n, total_low - n) != (out.upper, out.lower):
             continue
         if options.require_connected and not _connected(len(shapes), pairs):
             continue
-        key = _canonical_key(pairs, op_perms, options.quotient_by_slot_symmetry)
+        if options.quotient_by_slot_symmetry:
+            edges = tuple(sorted([(u, l) for u, _, l, _ in pairs]))
+            if edges not in slot_orbits:
+                slot_orbits[edges] = min(tuple(sorted([(p[u], p[l]) for u, l in edges])) for p in op_perms)
+            key = slot_orbits[edges]
+        else:
+            key = min(tuple(sorted((p[u], up, p[l], lp) for u, up, l, lp in pairs)) for p in op_perms)
         sort_key = (n, pairs)
         prev = chosen.get(key)
         if prev is None or sort_key < prev:
@@ -291,10 +293,7 @@ def classify_by_output(
     diagrams: list[ContractionDiagram],
 ) -> dict[TensorShape, int]:
     """Histogram of output shapes, keys sorted for reproducible iteration."""
-    counts: dict[TensorShape, int] = {}
-    for d in diagrams:
-        counts[d.output_shape] = counts.get(d.output_shape, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(d.output_shape for d in diagrams).items()))
 
 
 def count_primary_operations(word_length: int, arity: int) -> int:

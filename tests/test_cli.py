@@ -1,13 +1,18 @@
+import enum
+import hashlib
 import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tidlab.cli
 import tidlab.graded
 import tidlab.matrixops
-from tidlab.cli import CHECKS, RunConfig, main, parse_seeds, parse_shapes
+from tidlab.cli import CHECKS, RunConfig, _json_text, main, parse_seeds, parse_shapes
 from tidlab.graded import CROSSED, ChainConvention, convention_search
 from tidlab.matrixops import Phi2Params
 from tidlab.tensors import _BATCH, TensorShape
@@ -540,3 +545,91 @@ def test_batched_residual_equals_single_seed_runs(name, settings):
     assert len(_SEEDS) > _BATCH  # the run spans several batches
     singles = [check.run(replace(cfg, seeds=(seed,))).residual for seed in _SEEDS]
     assert check.run(cfg).residual == max(singles)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e300, np.float64(0.1), _Level.LOW]),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "é✓😀"]),
+)
+_json_keys = st.text(max_size=4) | st.sampled_from(['"k"', "\n", "ключ", ""])
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_json_keys, kids, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_json_trees)
+@example([True, 1, 1.0, None])
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ("x", -0.0, 1e300, 10**40)]})
+@example({"v": [np.float64(2.5), _Level.LOW, -(2**70)]})
+def test_json_text_is_indent_2_json(value):
+    """The report emitter writes exactly the bytes of json.dumps(indent=2)."""
+    assert _json_text(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ({"residual": math.nan}, ValueError),
+        ([1.0, math.inf], ValueError),
+        ({"r": [-math.inf]}, ValueError),
+        ({"r": np.float64("nan")}, ValueError),
+        ({1: "one"}, TypeError),
+        ({"a": {(1, 2): 0}}, TypeError),
+        ({"a": object()}, TypeError),
+        ([{1, 2}], TypeError),
+    ],
+)
+def test_json_text_fails_closed(value, error):
+    with pytest.raises(error):
+        _json_text(value)
+
+
+# sha256 (first 16 hex digits) of `tidlab enumerate ARGS --json` stdout
+_CUBE = "(2,2)x(2,2)x(2,2)"
+ENUMERATE_DIGESTS = {
+    (_CUBE, "--no-self"): "73e54c0340aff333",
+    (_CUBE, "--no-self", "--unordered"): "4c77713dcbdd9787",
+    (_CUBE, "--quotient-slots"): "f7d5c67e69a240a2",
+    (_CUBE, "--quotient-operands", "--connected"): "e7d91e8aadad30c6",
+    ("(2,1)x(2,1)x(1,2)", "--no-self", "--unordered", "--out", "(2,1)"): "c43c3ec18992a20e",
+    ("(1,2)x(1,2)x(2,1)", "--no-self", "--unordered", "--out", "(1,2)"): "cae6e0f7c3267b66",
+}
+
+
+@pytest.mark.parametrize("argv, digest", ENUMERATE_DIGESTS.items(), ids=[" ".join(a) for a in ENUMERATE_DIGESTS])
+def test_enumerate_json_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, ["enumerate", *argv, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+
+
+def test_float_reports_are_indent_2_json(tmp_path, capsys):
+    """Reports with floats differ across hosts in their digits, not in their layout."""
+    path = tmp_path / "convention.json"
+    texts = []
+    for argv in (
+        ["verify", "all", "--dim", "2", "--seeds", "1..2", "--json"],
+        ["verify", "all", "--mode", "symbolic", "--json"],
+        ["convention-search", "--dim", "2", "--seeds", "1", "--out", str(path), "--json"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        texts.append(out)
+    texts.append(path.read_text(encoding="utf-8"))
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
