@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Optional, Union
 # Only what parsing, RunConfig and `enumerate` need is imported here.  Each
 # check body imports its route where it runs, so `enumerate` and a symbolic
 # verify never load numpy.
+from . import definitions
 from .definitions import CANONICAL_CONVENTION, ChainConvention, Phi2Params
 from .diagrams import EnumOptions, TensorShape, classify_by_output, enumerate_diagrams
 
@@ -141,9 +142,9 @@ def _unit(coeffs):
 
 
 def _rand_params(seed: int) -> Phi2Params:
-    from .tensors import _random_complexes
+    from .tensors import _random_member
 
-    return _unit(Phi2Params.constrained(*_random_complexes(seed, 2)))
+    return _unit(Phi2Params(**_random_member(definitions.PRODUCT_FAMILY, seed)))
 
 
 def _mats(cfg: RunConfig, seed: int, n: int) -> list:
@@ -220,14 +221,17 @@ def _appendix1_symbolic(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
-    from . import definitions
-    from .cyclo import _E1
+    from .cyclo import _E1, _VAR
     from .words import expand_three_commutator_symbolic
 
     terms = [expand_three_commutator_symbolic(*term) for term in definitions.CYCLIC16_TERMS]
     total = sum(terms[1:], terms[0])
-    ok = len(total) == 12 and all(c == _E1 for _, c in total.sorted_terms())
-    return ok, "per-word alpha+beta+gamma" if ok else "unexpected coefficients"
+    if not (len(total) == 12 and all(c == _E1 for _, c in total.sorted_terms())):
+        return False, "unexpected coefficients"
+    # every word's coefficient is e1, so the identity holds on the weight family only if e1 vanishes there
+    if not _E1.substitute(definitions.family_member(definitions.ZERO_SUM_FAMILY, _VAR)).is_zero():
+        return False, "alpha+beta+gamma nonzero on ZERO_SUM_FAMILY"
+    return True, "per-word alpha+beta+gamma"
 
 
 def _appendix2_exact(cfg: RunConfig) -> tuple[bool, str]:
@@ -433,6 +437,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
         if not selected:
             raise ValueError(f"suite {args.suite!r} has no {cfg.mode} checks")
+        # only the jacobi row reads the product coefficients; any other row would ignore them
+        if cfg.params != Phi2Params() and not any("jacobi" in c.suites for c in selected):
+            raise ValueError(f"--alpha..--delta are read by the jacobi row only; {args.suite!r} {cfg.mode} has none")
         # last: auto-search is slow and runs on the validated grid
         cfg = replace(cfg, convention=load_convention(args.convention, cfg))
     except (ValueError, OSError) as exc:

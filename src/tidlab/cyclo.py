@@ -75,10 +75,6 @@ class CycloScalar:
     def omega(cls) -> "CycloScalar":
         return cls(0, 1)
 
-    @classmethod
-    def omega_sq(cls) -> "CycloScalar":
-        return cls(-1, -1)
-
     # -- ring operations ----------------------------------------------------
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""What the identities are: word kinds, term lists, bracket word order and w.
+"""What the identities are: word kinds, term lists, bracket word order, w and parameter families.
 
 Both routes read this module, the dense numerics (`matrixops`, `graded`) and
 the exact word expansion (`words`); it imports no tidlab module.  The routes
@@ -13,10 +13,12 @@ product's coefficients (`Phi2Params`) and the chain pairing convention
 import itertools
 import math
 from dataclasses import asdict, astuple, dataclass, fields
+from typing import Mapping
 
 __all__ = [
     "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
-    "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA",
+    "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA", "PRODUCT_FAMILY", "ZERO_SUM_FAMILY",
+    "CANONICAL_WEIGHT_POWERS", "family_member",
 ]
 
 HIGH = "high"  # word type with (2,1) components at even (0-based) positions
@@ -60,6 +62,30 @@ IDENTITY18_TERMS: tuple[str, ...] = (
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # the numeric embedding of w = exp(2πi/3)
 
+# parameter families: each coefficient, in field order, as a sum of signed free
+# parameters (sign, name); `family_member` evaluates one at given parameters
+_Family = Mapping[str, tuple[tuple[int, str], ...]]
+
+# the binary product's identity-bearing family: beta = -alpha, delta = -gamma
+PRODUCT_FAMILY: _Family = {
+    "alpha": ((1, "alpha"),), "beta": ((-1, "alpha"),), "gamma": ((1, "gamma"),), "delta": ((-1, "gamma"),),
+}
+
+# the bracket weights on which the cyclic identity holds: alpha + beta + gamma = 0
+ZERO_SUM_FAMILY: _Family = {"alpha": ((1, "alpha"),), "beta": ((1, "beta"),), "gamma": ((-1, "alpha"), (-1, "beta"))}
+
+# the canonical bracket weights (1, w, w^2), as powers of w
+CANONICAL_WEIGHT_POWERS: tuple[int, ...] = (0, 1, 2)
+
+
+def family_member(family: _Family, values: Mapping) -> dict:
+    """The family's coefficients at the free parameters `values` (name -> element of any ring).
+
+    A negative sign is unary `-` and each coefficient's terms are summed left to right.
+    """
+    signed = {field: [values[n] if sign > 0 else -values[n] for sign, n in terms] for field, terms in family.items()}
+    return {field: sum(vs[1:], vs[0]) for field, vs in signed.items()}
+
 
 @dataclass(frozen=True)
 class Phi2Params:
@@ -81,8 +107,8 @@ class Phi2Params:
 
     @classmethod
     def constrained(cls, alpha: complex, gamma: complex) -> "Phi2Params":
-        """beta = -alpha and delta = -gamma, the identity-bearing family."""
-        return cls(alpha, -alpha, gamma, -gamma)
+        """The member of PRODUCT_FAMILY at (alpha, gamma): beta = -alpha and delta = -gamma."""
+        return cls(**family_member(PRODUCT_FAMILY, {"alpha": alpha, "gamma": gamma}))
 
     def as_dict(self) -> dict[str, complex]:
         return {name: complex(v) for name, v in asdict(self).items()}

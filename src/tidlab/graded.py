@@ -28,7 +28,7 @@ from .definitions import CANONICAL_CONVENTION, CROSSED, HIGH, LOW, OMEGA, PARALL
 from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef, TensorShape
 from .matrixops import relative_residual, worst_residual
 from .tensors import (
-    DenseTensor, _batches, _columns, _contract, _random_complexes, _random_draw, _stack, _trial_seeds
+    DenseTensor, _batches, _columns, _contract, _random_draw, _random_member, _stack, _trial_seeds
 )
 
 __all__ = [
@@ -71,10 +71,6 @@ class GradedPair:
     @property
     def dim(self) -> int:
         return self.low.dim
-
-    @classmethod
-    def zeros(cls, dim: int) -> "GradedPair":
-        return cls(DenseTensor.zeros(_LOW_SHAPE, dim), DenseTensor.zeros(_HIGH_SHAPE, dim))
 
     def __add__(self, other: "GradedPair") -> "GradedPair":
         return GradedPair(self.low + other.low, self.high + other.high)
@@ -119,21 +115,13 @@ class TernaryWeights:
 
     @classmethod
     def canonical(cls) -> "TernaryWeights":
-        """The cube roots of unity (1, w, w^2)."""
-        return cls(1.0 + 0j, OMEGA, OMEGA * OMEGA)
+        """The cube roots of unity (1, w, w^2): w to each of CANONICAL_WEIGHT_POWERS."""
+        return cls(*(OMEGA ** k for k in definitions.CANONICAL_WEIGHT_POWERS))
 
     @classmethod
     def random_zero_sum(cls, seed: int) -> "TernaryWeights":
-        """Random complex weights with alpha + beta + gamma = 0 only."""
-        a, b = _random_complexes(seed, 2)
-        return cls(a, b, -a - b)
-
-    def sum(self) -> complex:
-        return self.alpha + self.beta + self.gamma
-
-    def pair_sum(self) -> complex:
-        """Second elementary symmetric function of the weights."""
-        return self.alpha * self.beta + self.beta * self.gamma + self.gamma * self.alpha
+        """A random member of ZERO_SUM_FAMILY: complex weights with alpha + beta + gamma = 0 only."""
+        return cls(**_random_member(definitions.ZERO_SUM_FAMILY, seed))
 
 
 def _chain(shapes: tuple[TensorShape, ...]) -> ContractionDiagram:

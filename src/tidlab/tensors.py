@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .definitions import family_member
 from .diagrams import LOWER, UPPER, ContractionDiagram, TensorShape
 
 __all__ = [
@@ -69,10 +70,6 @@ class DenseTensor:
         raise AttributeError("DenseTensor is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, shape: TensorShape, dim: int) -> "DenseTensor":
-        return cls(shape, dim, np.zeros((dim,) * shape.order, dtype=np.complex128))
 
     @classmethod
     def from_entries(
@@ -139,12 +136,6 @@ class DenseTensor:
     def allclose(self, other: "DenseTensor", rtol: float = 1e-12) -> bool:
         self._check_like(other)
         return bool(np.allclose(self.data, other.data, rtol=rtol, atol=rtol))
-
-    def scalar(self) -> complex:
-        """The single entry of a (0,0) tensor."""
-        if self.shape.order != 0:
-            raise ValueError(f"not a scalar tensor: {self.shape}")
-        return complex(self.data[()])
 
     # -- serialization -----------------------------------------------------
 
@@ -344,10 +335,12 @@ def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> Dens
     return DenseTensor(shape, dim, re + 1j * im)
 
 
-def _random_complexes(seed: int, n: int) -> list[complex]:
-    """n complex numbers, real then imaginary part of each uniform in [-1, 1]."""
+def _random_member(family, seed: int) -> dict[str, complex]:
+    """A random member of a `definitions` family: its free parameters are drawn
+    in order of first use, real then imaginary part of each uniform in [-1, 1]."""
     rng = np.random.default_rng(seed)
-    return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+    names = dict.fromkeys(name for terms in family.values() for _, name in terms)
+    return family_member(family, {name: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for name in names})
 
 
 def _trial_seeds(seed: int, n: int) -> list[int]:

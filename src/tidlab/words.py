@@ -248,9 +248,8 @@ def generic_params() -> tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly]:
 
 
 def constrained_params() -> tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly]:
-    """Parameters with beta = -alpha and delta = -gamma imposed."""
-    va, vg = _VAR["alpha"], _VAR["gamma"]
-    return va, -va, vg, -vg
+    """The symbolic member of PRODUCT_FAMILY: beta = -alpha and delta = -gamma imposed."""
+    return tuple(definitions.family_member(definitions.PRODUCT_FAMILY, _VAR).values())  # type: ignore[return-value]
 
 
 def _bilinear(x: FormalSum, y: FormalSum, word_op) -> FormalSum:
@@ -323,16 +322,6 @@ class Identity6Report:
     group_terms: dict  # final symbol -> the three term strings
     passed: bool
     offending: tuple  # (word, coefficient) pairs when nonzero
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "residual_words": [[str(w), str(c)] for w, c in self.offending],
-            "groups": {
-                k: {"terms": list(self.group_terms[k]), "words": len(v)}
-                for k, v in sorted(self.groups.items())
-            },
-        }
 
 
 def verify_identity6_symbolic(params=None) -> Identity6Report:
@@ -464,8 +453,8 @@ def _equation_of(total: WeightPoly) -> str | None:
 
 
 def canonical_cubic_weights() -> tuple[CycloScalar, CycloScalar, CycloScalar]:
-    """The exact cube roots of unity (1, w, w^2)."""
-    return (CycloScalar.one(), CycloScalar.omega(), CycloScalar.omega_sq())
+    """The exact cube roots of unity (1, w, w^2): w to each of CANONICAL_WEIGHT_POWERS."""
+    return tuple(CycloScalar.omega() ** k for k in definitions.CANONICAL_WEIGHT_POWERS)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,28 @@ def test_verify_empty_selection_usage_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["phi4", "--alpha", "1", "--beta", "1"], 2),
+        (["identity6", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1"], 2),
+        (["all", "--mode", "symbolic", "--gamma", "1"], 2),
+        # with the jacobi row the coefficients are read, and the symmetric product fails it
+        (["all", "--alpha", "1", "--beta", "1"], 1),
+    ],
+)
+def test_verify_product_coefficients_need_the_jacobi_row(capsys, argv, code):
+    # only the jacobi row reads --alpha..--delta; any other row would ignore them and pass
+    got, out, err = run(capsys, ["verify", *argv, "--seeds", "1", "--json"])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and "--alpha..--delta" in err
+    else:
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert not checks["jacobi/numeric"]
+
+
 def test_verify_cyclic16_unbalanced_weights_fail(capsys):
     code, out, _ = run(
         capsys,

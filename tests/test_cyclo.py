@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tidlab.cyclo import CycloScalar, WeightPoly, symmetric_ideal_membership
 
 W = CycloScalar.omega()
-W2 = CycloScalar.omega_sq()
+W2 = CycloScalar(-1, -1)
 ONE = CycloScalar.one()
 
 

@@ -12,16 +12,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tidlab.definitions
-from tidlab.cli import main
+from tidlab.cli import _rand_params, _unit, main
+from tidlab.definitions import OMEGA, Phi2Params
+from tidlab.graded import TernaryWeights
 from tidlab.matrixops import closed_remainder
 from tidlab.tensors import TensorShape, random_tensor
-from tidlab.words import closed_remainder_symbolic, evaluate_trace_sum
+from tidlab.words import canonical_cubic_weights, closed_remainder_symbolic, evaluate_trace_sum
 
 PACKAGE = Path(tidlab.definitions.__file__).resolve().parent
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
@@ -97,8 +100,8 @@ def test_run_leaves_modules_unloaded(code, absent):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def _verify(suite: str, capsys) -> dict:
-    code = main(["verify", suite, "--dim", "3", "--seeds", "1..3", "--json"])
+def _verify(suite: str, capsys, *extra: str) -> dict:
+    code = main(["verify", suite, "--dim", "3", "--seeds", "1..3", "--json", *extra])
     report = json.loads(capsys.readouterr().out)
     assert code == (0 if report["all_pass"] else 1)
     return {c["name"]: c for c in report["checks"]}
@@ -130,6 +133,56 @@ def test_one_mutated_definition_fails_both_routes(monkeypatch, capsys, name, ter
     assert checks[numeric]["residual"] > 0.1
     assert not checks[exact]["pass"]
     assert detail in checks[exact]["digest"]
+
+
+_PRODUCT_BROKEN = {**tidlab.definitions.PRODUCT_FAMILY, "delta": ((1, "gamma"),)}  # delta = +gamma
+# one case per parameter family and suite it drives:
+# (family, its mutated value, suite, extra verify arguments, numeric row, exact row, exact digest)
+FAMILY_MUTATIONS = [
+    ("PRODUCT_FAMILY", _PRODUCT_BROKEN, "identity6", (), "identity6/numeric", "identity6/symbolic",
+     "4 residual words"),
+    ("PRODUCT_FAMILY", _PRODUCT_BROKEN, "phi4", (), "phi4/numeric", "phi4/symbolic", "24 words"),
+    ("PRODUCT_FAMILY", _PRODUCT_BROKEN, "appendix1", (), "appendix1/numeric", "appendix1/symbolic", "mismatch"),
+    ("ZERO_SUM_FAMILY", {**tidlab.definitions.ZERO_SUM_FAMILY, "gamma": ((-1, "alpha"),)}, "cyclic16",
+     ("--weights", "random-constrained"), "cyclic16/numeric", "cyclic16/symbolic", "nonzero on ZERO_SUM_FAMILY"),
+    ("CANONICAL_WEIGHT_POWERS", (0, 1, 1), "identity18", (), "identity18/numeric", "appendix2/exact",
+     "nonzero at weights"),
+]
+# every parameter family has a control, checked when the tests are collected
+assert {m[0] for m in FAMILY_MUTATIONS} == {
+    n for n in tidlab.definitions.__all__ if n.endswith(("_FAMILY", "_POWERS"))
+}
+
+
+@pytest.mark.parametrize(
+    "name, value, suite, extra, numeric, exact, detail",
+    FAMILY_MUTATIONS,
+    ids=[f"{m[0]}-{m[2]}" for m in FAMILY_MUTATIONS],
+)
+def test_one_mutated_family_fails_both_routes(monkeypatch, capsys, name, value, suite, extra, numeric, exact, detail):
+    intact = _verify(suite, capsys, *extra)
+    assert intact[numeric]["pass"] and intact[exact]["pass"]
+
+    monkeypatch.setattr(tidlab.definitions, name, value)
+    checks = _verify(suite, capsys, *extra)
+    assert not checks[numeric]["pass"]
+    assert checks[numeric]["residual"] > 0.1
+    assert not checks[exact]["pass"]
+    assert detail in checks[exact]["digest"]
+
+
+def test_canonical_weights_are_pinned_in_both_routes():
+    # w^2 is OMEGA * OMEGA to the bit; the Z[w] form -1 - OMEGA differs in the last bit of its real part
+    parts = lambda zs: [(z.real.hex(), z.imag.hex()) for z in zs]
+    assert parts(astuple(TernaryWeights.canonical())) == parts((1 + 0j, OMEGA, OMEGA * OMEGA))
+    assert [(c.a, c.b) for c in canonical_cubic_weights()] == [(1, 0), (0, 1), (-1, -1)]
+
+
+def test_random_members_draw_free_parameters_in_order_of_first_use():
+    rng = np.random.default_rng(7)
+    a, b = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+    assert TernaryWeights.random_zero_sum(7) == TernaryWeights(a, b, -a - b)
+    assert _rand_params(7) == _unit(Phi2Params(a, -a, b, -b))
 
 
 def test_both_closed_forms_sum_every_row_of_the_table(monkeypatch):

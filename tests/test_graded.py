@@ -44,8 +44,8 @@ def test_random_graded_pair_deterministic():
 
 def test_canonical_weights_are_cubic_roots():
     w = TernaryWeights.canonical()
-    assert abs(w.sum()) < 1e-15
-    assert abs(w.pair_sum()) < 1e-15
+    assert abs(w.alpha + w.beta + w.gamma) < 1e-15
+    assert abs(w.alpha * w.beta + w.beta * w.gamma + w.gamma * w.alpha) < 1e-15
     assert abs(w.alpha**3 - 1) < 1e-15 and abs(w.beta**3 - 1) < 1e-14
 
 
@@ -125,7 +125,7 @@ def test_three_commutator_matches_independent_oracle(conv):
 
 def test_three_commutator_closure_and_zero():
     w = TernaryWeights.canonical()
-    zero = GradedPair.zeros(2)
+    zero = random_graded_pair(2, 309) * 0
     out = three_commutator(zero, zero, zero, w)
     assert isinstance(out, GradedPair)
     assert out.norm() == 0.0
@@ -166,7 +166,7 @@ def test_cyclic_residual_any_zero_sum_weights():
     # the cyclic identity needs alpha+beta+gamma = 0 and nothing else
     for seed in (3, 4):
         w = TernaryWeights.random_zero_sum(seed)
-        assert abs(w.pair_sum()) > 1e-3  # generic draw: second symmetric sum nonzero
+        assert abs(w.alpha * w.beta + w.beta * w.gamma + w.gamma * w.alpha) > 1e-3  # generic draw: e2 nonzero
         vals = [random_graded_pair(2, 400 + seed * 3 + i) for i in range(3)]
         res = cyclic_residual(*vals, w)
         assert graded_relative_residual(res, vals) < 1e-12
@@ -205,7 +205,7 @@ def test_identity18_mismatched_pairing_fails():
 def test_identity18_needs_both_symmetric_sums_zero():
     # alpha+beta+gamma = 0 alone is not enough for the twenty-term identity
     w = TernaryWeights.random_zero_sum(11)
-    assert abs(w.pair_sum()) > 1e-3
+    assert abs(w.alpha * w.beta + w.beta * w.gamma + w.gamma * w.alpha) > 1e-3
     vals = [random_graded_pair(2, 800 + i) for i in range(5)]
     res = identity18_residual(*vals, w)
     assert graded_relative_residual(res, vals) > 1e-6

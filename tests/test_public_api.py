@@ -30,7 +30,8 @@ ALL = {
     "cyclo": {"CycloScalar", "WeightPoly", "VARS", "symmetric_ideal_membership"},
     "definitions": {
         "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
-        "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA",
+        "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA", "PRODUCT_FAMILY", "ZERO_SUM_FAMILY",
+        "CANONICAL_WEIGHT_POWERS", "family_member",
     },
     "diagrams": {
         "UPPER", "LOWER", "SlotRef", "ContractionDiagram", "EnumOptions", "UNORDERED_CONNECTED",
