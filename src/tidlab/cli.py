@@ -440,6 +440,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # only the jacobi row reads the product coefficients; any other row would ignore them
         if cfg.params != Phi2Params() and not any("jacobi" in c.suites for c in selected):
             raise ValueError(f"--alpha..--delta are read by the jacobi row only; {args.suite!r} {cfg.mode} has none")
+        # likewise only the numeric ternary rows, whose params report them, read the weights
+        if cfg.weights != RunConfig.weights and not any(c.params is _ternary_params for c in selected):
+            raise ValueError(
+                f"--weights is read by the cyclic16 and identity18 numeric rows only; {args.suite!r} {cfg.mode} has none"
+            )
         # last: auto-search is slow and runs on the validated grid
         cfg = replace(cfg, convention=load_convention(args.convention, cfg))
     except (ValueError, OSError) as exc:

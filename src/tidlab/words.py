@@ -225,11 +225,22 @@ class FormalSum:
 
 
 def _formal_sum(pairs: Iterable[tuple[object, WeightPoly]]) -> FormalSum:
-    """The FormalSum of (word, poly) pairs, each word's polys summed once, in first-seen order."""
+    """The FormalSum of (word, poly) pairs, each word's polys summed once, in first-seen order.
+
+    The polys are valid WeightPolys, so the result is built without FormalSum's
+    re-check; a word whose polys sum to zero is dropped.
+    """
     polys: dict = {}
     for word, poly in pairs:
         polys.setdefault(word, []).append(poly)
-    return FormalSum({w: ps[0] if len(ps) == 1 else _sum_polys(ps) for w, ps in polys.items()})
+    terms = {}
+    for w, ps in polys.items():
+        total = ps[0] if len(ps) == 1 else _sum_polys(ps)
+        if total.terms:
+            terms[w] = total
+    out = object.__new__(FormalSum)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def symbol_word(name: str) -> FormalSum:
@@ -252,24 +263,28 @@ def constrained_params() -> tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly
     return tuple(definitions.family_member(definitions.PRODUCT_FAMILY, _VAR).values())  # type: ignore[return-value]
 
 
-def _bilinear(x: FormalSum, y: FormalSum, word_op) -> FormalSum:
-    return _formal_sum(
-        (word_op(wx, wy), cx * cy) for wx, cx in x.terms.items() for wy, cy in y.terms.items()
-    )
-
-
 def expand_phi2_symbolic(
     x: FormalSum,
     y: FormalSum,
-    params: tuple[WeightPoly, WeightPoly, WeightPoly, WeightPoly] | None = None,
+    params: tuple[Coeff, Coeff, Coeff, Coeff] | None = None,
 ) -> FormalSum:
-    """alpha*xy + beta*yx + gamma*x*Tr(y) + delta*y*Tr(x) over trace words."""
-    pa, pb, pg, pd = params if params is not None else generic_params()
-    out = _bilinear(x, y, TraceWord.times) * pa
-    out = out + _bilinear(y, x, TraceWord.times) * pb
-    out = out + _bilinear(x, y, TraceWord.times_trace_of) * pg
-    out = out + _bilinear(y, x, TraceWord.times_trace_of) * pd
-    return out
+    """alpha*xy + beta*yx + gamma*x*Tr(y) + delta*y*Tr(x) over trace words.
+
+    One pass over the word pairs: each pair's cx*cy is formed once and gives
+    all four words.  A float parameter raises TypeError, even for a zero operand.
+    """
+    pa, pb, pg, pd = map(_as_poly, params if params is not None else generic_params())
+
+    def terms():
+        for wx, cx in x.terms.items():
+            for wy, cy in y.terms.items():
+                c = cx * cy
+                yield wx.times(wy), c * pa
+                yield wy.times(wx), c * pb
+                yield wx.times_trace_of(wy), c * pg
+                yield wy.times_trace_of(wx), c * pd
+
+    return _formal_sum(terms())
 
 
 def phi3_symbolic(x1: FormalSum, x2: FormalSum, x3: FormalSum, params=None) -> FormalSum:
@@ -340,15 +355,14 @@ def verify_identity6_symbolic(params=None) -> Identity6Report:
         w, x, y, z = term
         return f(f(f(syms[w], syms[x]), syms[y]), syms[z])
 
-    total = FormalSum.zero()
-    groups: dict[str, FormalSum] = {}
     group_terms: dict[str, tuple[str, ...]] = {}
+    group_pairs: dict[str, list] = {}
     for term in definitions.IDENTITY6_TERMS:
-        expansion = nested(term)
-        total = total + expansion
         final = term[3]
-        groups[final] = groups.get(final, FormalSum.zero()) + expansion
         group_terms[final] = group_terms.get(final, ()) + (term,)
+        group_pairs.setdefault(final, []).extend(nested(term).terms.items())
+    groups = {final: _formal_sum(pairs) for final, pairs in group_pairs.items()}
+    total = _formal_sum(itertools.chain.from_iterable(group_pairs.values()))
     offending = tuple((w, c) for w, c in total.sorted_terms())
     return Identity6Report(
         total=total,
@@ -414,6 +428,8 @@ def expand_identity18_instances() -> list[WordInstance]:
 @functools.lru_cache(maxsize=4)
 def _identity18_instances(terms: tuple[str, ...], word_order: tuple) -> tuple[WordInstance, ...]:
     weight = _bracket_weights(None)
+    # the nine weight products, shared by every instance that carries one
+    products = {(i, o): weight[i] * weight[o] for i in weight for o in weight}
     instances: list[WordInstance] = []
     for term in terms:
         inner_words = list(_bracket_words(term[:3], word_order))
@@ -424,8 +440,7 @@ def _identity18_instances(terms: tuple[str, ...], word_order: tuple) -> tuple[Wo
             for inner, inner_kind, inner_name in inner_words:
                 if inner_kind == need:
                     word = GradedWord(outer[:pos] + inner + outer[pos + 1 :], kind)
-                    product = weight[inner_name] * weight[outer_name]
-                    instances.append(WordInstance(word, product, term, inner))
+                    instances.append(WordInstance(word, products[inner_name, outer_name], term, inner))
     return tuple(instances)
 
 
@@ -627,11 +642,12 @@ def build_class_table(
     )
     excluded = "".join(sorted(set(symbols) - pair))
     rows: dict[str, dict] = {}
+    labels = {w: str(w) for w in {inst.weight for inst in own}}  # each distinct weight formatted once
     for inst in own:
         row = rows.setdefault("".join(inst.word.symbols), {"cells": {}, "weights": []})
         subset = "".join(sorted(inst.inner))
         row["cells"].setdefault(subset, []).append(
-            {"term": inst.term, "window": "".join(inst.inner), "weight": str(inst.weight)}
+            {"term": inst.term, "window": "".join(inst.inner), "weight": labels[inst.weight]}
         )
         row["weights"].append(inst.weight)
     table_rows = []

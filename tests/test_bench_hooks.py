@@ -20,12 +20,13 @@ def _load_spans():
     return module
 
 
-def test_span_recorder_installs_runs_and_restores(capsys):
+def _traced_run(capsys, argv: list[str]) -> None:
+    """Run the CLI under the span recorder; it must pass, record spans and restore every patch."""
     recorder = _load_spans().SpanRecorder()
     try:
         recorder.install()
         patched = list(recorder._patches)
-        code = tidlab.cli.main(["verify", "jacobi", "--dim", "2", "--seeds", "1", "--json"])
+        code = tidlab.cli.main(argv)
     finally:
         recorder.uninstall()
     capsys.readouterr()
@@ -34,3 +35,12 @@ def test_span_recorder_installs_runs_and_restores(capsys):
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_span_recorder_installs_runs_and_restores(capsys):
+    _traced_run(capsys, ["verify", "jacobi", "--dim", "2", "--seeds", "1", "--json"])
+
+
+def test_span_recorder_traces_the_exact_route(capsys):
+    # a words refactor that breaks a traced exact run fails here, not only in the benchmark
+    _traced_run(capsys, ["verify", "all", "--mode", "symbolic", "--json"])

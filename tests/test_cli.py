@@ -118,6 +118,29 @@ def test_verify_product_coefficients_need_the_jacobi_row(capsys, argv, code):
         assert not checks["jacobi/numeric"]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["phi4", "--weights=1,2,-3"], 2),
+        (["appendix2", "--weights=1,2,-3"], 2),
+        (["identity18", "--mode", "symbolic", "--weights", "random-constrained"], 2),
+        (["all", "--mode", "symbolic", "--weights=1,2,-3"], 2),
+        # with identity18/numeric the weights are read, and (1, 2, -3) fails it
+        (["all", "--weights=1,2,-3"], 1),
+    ],
+)
+def test_verify_weights_need_a_numeric_ternary_row(capsys, argv, code):
+    # only cyclic16/numeric and identity18/numeric read --weights; any other row would ignore them and pass
+    got, out, err = run(capsys, ["verify", *argv, "--seeds", "1", "--json"])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and "--weights" in err
+    else:
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert not checks["identity18/numeric"]
+
+
 def test_verify_cyclic16_unbalanced_weights_fail(capsys):
     code, out, _ = run(
         capsys,

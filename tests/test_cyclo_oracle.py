@@ -130,11 +130,23 @@ def test_formal_sum_arithmetic_agrees_with_sympy(x, y, p):
     assert_same_sum(x * p, {w: e * to_sympy(p) for w, e in sx.items()})
 
 
-@settings(max_examples=15, deadline=None)
-@given(sums, sums)
-def test_phi2_expansion_agrees_with_sympy(x, y):
-    # alpha*xy + beta*yx + gamma*x*Tr(y) + delta*y*Tr(x), word pair by word pair
-    alpha, beta, gamma, delta = SYMS
+coeffs = st.one_of(st.just(WeightPoly.zero()), polys)
+phi2_params = st.one_of(
+    st.just(generic_params()),
+    st.tuples(coeffs, coeffs, coeffs, coeffs),
+    # the product family beta = -alpha, delta = -gamma: with y = x every word cancels
+    st.tuples(coeffs, coeffs).map(lambda ag: (ag[0], -ag[0], ag[1], -ag[1])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sums, sums, st.booleans(), phi2_params)
+def test_phi2_expansion_agrees_with_sympy(x, y, same, params):
+    # alpha*xy + beta*yx + gamma*x*Tr(y) + delta*y*Tr(x), word pair by word pair;
+    # a param may be zero or constant, and y = x lets words cancel
+    if same:
+        y = x
+    alpha, beta, gamma, delta = map(to_sympy, params)
     expected: dict = {}
     for wx, cx in sum_to_sympy(x).items():
         for wy, cy in sum_to_sympy(y).items():
@@ -145,7 +157,18 @@ def test_phi2_expansion_agrees_with_sympy(x, y):
                 (wy.times_trace_of(wx), delta),
             ):
                 expected[word] = expected.get(word, 0) + weight * cx * cy
-    assert_same_sum(expand_phi2_symbolic(x, y, generic_params()), expected)
+    result = expand_phi2_symbolic(x, y, params)
+    assert_same_sum(result, expected)
+    assert not any(c.is_zero() for c in result.terms.values())
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_a_float_param_raises_type_error_with_a_zero_operand(position):
+    params = [1, 0, Fraction(1, 2), CycloScalar.omega()]
+    params[position] = 0.5
+    for x, y in ((FormalSum.zero(), FormalSum.zero()), (FormalSum.from_word(TraceWord("A")), FormalSum.zero())):
+        with pytest.raises(TypeError):
+            expand_phi2_symbolic(x, y, tuple(params))
 
 
 @pytest.mark.parametrize(

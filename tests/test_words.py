@@ -435,6 +435,24 @@ def test_identity18_word_report_digest():
     assert _digest(obj) == IDENTITY18_WORDS_DIGEST
 
 
+# generic-parameter expansions: name -> (expansion, word count, first 16 hex digits of sha256 of its str)
+_ABCD = {s: symbol_word(s) for s in "ABCD"}
+GENERIC_EXPANSION_DIGESTS = {
+    "phi4": (lambda: phi4_symbolic(*_ABCD.values(), generic_params()), 96, "3db4c44ab4ce22de"),
+    "identity6-total": (lambda: verify_identity6_symbolic(generic_params()).total, 96, "37d8513ad732cadd"),
+    "phi3": (lambda: phi3_symbolic(_ABCD["A"], _ABCD["B"], _ABCD["C"], generic_params()), 16, "152fc49d207b6cf5"),
+    "cyclic-sum": (lambda: cyclic_sum_symbolic("A", "B", "C", generic_params()), 18, "87e463f9856435b2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_EXPANSION_DIGESTS))
+def test_generic_expansion_digest(name):
+    expand, words, digest = GENERIC_EXPANSION_DIGESTS[name]
+    result = expand()
+    assert len(result) == words
+    assert hashlib.sha256(str(result).encode()).hexdigest()[:16] == digest
+
+
 # -- golden digests of the enumerator reports ----------------------------------
 
 # sha256 of the whole stdout of `tidlab enumerate (2,2)x(2,2)x(2,2) --no-self [--unordered] --json`
