@@ -395,11 +395,15 @@ def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
 def _json_text(obj: dict) -> str:
     """A report or descriptor as written to stdout and to files: the bytes of
     `json.dumps(obj, indent=2, allow_nan=False) + "\\n"`, without its slow pure-Python indent encoder."""
-    return _json_value(obj, "\n") + "\n"
+    return _json_value(obj, "\n", {}) + "\n"
 
 
-def _json_value(value, nl: str) -> str:
-    """`value` as indented JSON; `nl` is a newline plus the indent.  A non-str key raises TypeError."""
+def _json_value(value, nl: str, tuples: dict) -> str:
+    """`value` as indented JSON; `nl` is a newline plus the indent.  A non-str key raises TypeError.
+
+    `tuples` maps (id, nl) of each tuple written so far in this call to (tuple, text), so
+    a tuple shared across the tree is written once per indent; holding the tuple keeps its id unique.
+    """
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -411,9 +415,14 @@ def _json_value(value, nl: str) -> str:
         return "null" if value is None else "true" if value else "false"
     inner = nl + "  "
     if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in value]) + nl + "]"
+        if kind is tuple and (id(value), nl) in tuples:
+            return tuples[id(value), nl][1]
+        text = "[" + inner + ("," + inner).join([_json_value(v, inner, tuples) for v in value]) + nl + "]"
+        if kind is tuple:
+            tuples[id(value), nl] = (value, text)
+        return text
     if isinstance(value, dict) and value:
-        items = [_json_str(k) + ": " + _json_value(v, inner) for k, v in value.items()]
+        items = [_json_str(k) + ": " + _json_value(v, inner, tuples) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     # json's rules: empty containers, int/float subclasses, ValueError for NaN/inf, TypeError otherwise
     return json.dumps(value, allow_nan=False)
@@ -521,7 +530,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         ))
     else:
         for i, d in enumerate(diagrams):
-            print(f"#{i}: output {d.output_shape}  pairs {list(d.sort_key()[1])}")
+            pairs = [tuple(map(list, pair)) for pair in d.to_json()["pairs"]]
+            print(f"#{i}: output {d.output_shape}  pairs {pairs}")
         print(f"count: {len(diagrams)}")
         print("by output:", {str(k): v for k, v in histogram.items()})
     return 0

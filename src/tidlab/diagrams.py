@@ -14,10 +14,11 @@ needs no numpy; `tensors` re-exports it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 __all__ = [
@@ -82,28 +83,42 @@ class SlotRef:
         return cls(int(obj[0]), str(obj[1]), int(obj[2]))
 
 
+# A matching as integers: sorted (up_op, up_pos, low_op, low_pos) tuples, one per pair.
+_Matching = tuple[tuple[int, int, int, int], ...]
+
+
 @dataclass(frozen=True)
 class ContractionDiagram:
-    """A set of (upper slot -> lower slot) pairs over an ordered operand list."""
+    """A set of (upper slot -> lower slot) pairs over an ordered operand list.
+
+    `matching`, set on construction, is the same pairs as a sorted `_Matching`.
+    """
 
     operand_shapes: tuple[TensorShape, ...]
     pairs: frozenset[tuple[SlotRef, SlotRef]]
+    matching: _Matching = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[SlotRef] = set()
+        shapes, n = self.operand_shapes, len(self.operand_shapes)
+        rows = []
+        ups, lows = set(), set()  # (operand, position) of each used slot
         for up, low in self.pairs:
             if up.kind != UPPER or low.kind != LOWER:
                 raise ValueError(f"pair must join an upper slot to a lower slot: {(up, low)}")
-            for ref in (up, low):
-                if ref.operand >= len(self.operand_shapes):
-                    raise ValueError(f"operand index out of range: {ref}")
-                shape = self.operand_shapes[ref.operand]
-                limit = shape.upper if ref.kind == UPPER else shape.lower
-                if ref.position >= limit:
-                    raise ValueError(f"slot position out of range: {ref} on {shape}")
-                if ref in seen:
-                    raise ValueError(f"slot used twice: {ref}")
-                seen.add(ref)
+            row = u, up_pos, l, low_pos = up.operand, up.position, low.operand, low.position
+            if u >= n or l >= n:
+                raise ValueError(f"operand index out of range: {up if u >= n else low}")
+            if up_pos >= shapes[u].upper or low_pos >= shapes[l].lower:
+                ref, shape = (up, shapes[u]) if up_pos >= shapes[u].upper else (low, shapes[l])
+                raise ValueError(f"slot position out of range: {ref} on {shape}")
+            rows.append(row)
+            ups.add((u, up_pos))
+            lows.add((l, low_pos))
+        if len(ups) < len(rows) or len(lows) < len(rows):
+            ((ref, _),) = Counter(ref for pair in self.pairs for ref in pair).most_common(1)
+            raise ValueError(f"slot used twice: {ref}")
+        rows.sort()
+        object.__setattr__(self, "matching", tuple(rows))
 
     @property
     def output_shape(self) -> TensorShape:
@@ -113,8 +128,7 @@ class ContractionDiagram:
 
     def is_connected(self) -> bool:
         """True when the contraction edges join all operands into one component."""
-        edges = [(up.operand, up.position, low.operand, low.position) for up, low in self.pairs]
-        return _connected(len(self.operand_shapes), edges)
+        return _connected(len(self.operand_shapes), self.matching)
 
     def is_linear_chain(self) -> bool:
         """True when the diagram composes the operands end to end along a line.
@@ -127,8 +141,7 @@ class ContractionDiagram:
         if n == 1:
             return len(self.pairs) == 0
         bundles: dict[tuple[int, int], set[int]] = {}
-        for up, low in self.pairs:
-            i, j = up.operand, low.operand
+        for i, _, j, _ in self.matching:
             if abs(i - j) != 1:
                 return False
             key = (min(i, j), max(i, j))
@@ -138,15 +151,13 @@ class ContractionDiagram:
         return all(len(srcs) == 1 for srcs in bundles.values())
 
     def sort_key(self) -> tuple:
-        return (
-            len(self.pairs),
-            tuple(sorted((u.to_json(), l.to_json()) for u, l in self.pairs)),
-        )
+        return (len(self.matching), self.matching)
 
     def to_json(self) -> dict:
+        """A fresh dict and pair list; their items are shared immutable tuples."""
         return {
-            "operand_shapes": [s.as_tuple() for s in self.operand_shapes],
-            "pairs": [list(pair) for pair in self.sort_key()[1]],
+            "operand_shapes": _shapes_json(self.operand_shapes),
+            "pairs": list(map(_pair_json, self.matching)),
         }
 
     @classmethod
@@ -160,6 +171,17 @@ class ContractionDiagram:
     def __repr__(self) -> str:
         shapes = "x".join(str(s) for s in self.operand_shapes)
         return f"ContractionDiagram({shapes}, {len(self.pairs)} pairs)"
+
+
+@functools.lru_cache(maxsize=4096)
+def _pair_json(row: tuple[int, int, int, int]) -> tuple:
+    up_op, up_pos, low_op, low_pos = row
+    return ((up_op, UPPER, up_pos), (low_op, LOWER, low_pos))
+
+
+@functools.lru_cache(maxsize=64)
+def _shapes_json(shapes: tuple[TensorShape, ...]) -> tuple:
+    return tuple(s.as_tuple() for s in shapes)
 
 
 @dataclass(frozen=True)
@@ -188,11 +210,6 @@ UNORDERED_CONNECTED = EnumOptions(
     quotient_by_operand_symmetry=True,
     require_connected=True,
 )
-
-
-# A matching during enumeration: sorted (up_op, up_pos, low_op, low_pos) tuples,
-# in the order of ContractionDiagram.sort_key's pair list.
-_Matching = tuple[tuple[int, int, int, int], ...]
 
 
 def _all_matchings(shapes: tuple[TensorShape, ...], forbid_self: bool) -> Iterator[_Matching]:
@@ -268,6 +285,8 @@ def enumerate_diagrams(
             if edges not in slot_orbits:
                 slot_orbits[edges] = min(tuple(sorted([(p[u], p[l]) for u, l in edges])) for p in op_perms)
             key = slot_orbits[edges]
+        elif len(op_perms) == 1:
+            key = pairs  # already sorted, and the identity is the only permutation
         else:
             key = min(tuple(sorted((p[u], up, p[l], lp) for u, up, l, lp in pairs)) for p in op_perms)
         sort_key = (n, pairs)

@@ -462,6 +462,20 @@ def _word_class(w: GradedWord) -> frozenset:
     return frozenset((w.symbols[1], w.symbols[3]))
 
 
+def _group_by_class(instances: Iterable[WordInstance]) -> dict[tuple[str, frozenset], list[WordInstance]]:
+    """Instances keyed by (word kind, class key), each group in the given order."""
+    groups: dict[tuple[str, frozenset], list[WordInstance]] = {}
+    for inst in instances:
+        groups.setdefault((inst.word.kind, _word_class(inst.word)), []).append(inst)
+    return groups
+
+
+@functools.lru_cache(maxsize=4)
+def _identity18_classes(terms: tuple[str, ...], word_order: tuple) -> dict:
+    """`_group_by_class` of the cached instances of these definitions, grouped once."""
+    return _group_by_class(_identity18_instances(terms, word_order))
+
+
 def _equation_of(total: WeightPoly) -> str | None:
     """The name of the class polynomial equal to total, or None."""
     return next((name for name, eq in WEIGHT_CLASS_POLYS.items() if eq == total), None)
@@ -631,10 +645,13 @@ def build_class_table(
         raise ValueError(f"kind must be {HIGH!r} or {LOW!r}, got {kind!r}")
     pair = frozenset(pair)
     if instances is None:
-        instances = expand_identity18_instances()
-    own = [inst for inst in instances if inst.word.kind == kind and _word_class(inst.word) == pair]
+        classes = _identity18_classes(definitions.IDENTITY18_TERMS, definitions.BRACKET_WORD_ORDER)
+    else:
+        classes = _group_by_class(instances)
+    own = classes.get((kind, pair), [])
     # a class word holds its own pair, so only an empty class needs every instance's symbols
-    symbols = sorted({s for inst in (own or instances) for s in inst.word.symbols})
+    pool = own or itertools.chain.from_iterable(classes.values())
+    symbols = sorted({s for inst in pool for s in inst.word.symbols})
     if len(pair) != 2 or not pair <= set(symbols):
         raise ValueError(f"class key must be two distinct symbols of {''.join(symbols)}, got {sorted(pair)}")
     subsets = sorted(

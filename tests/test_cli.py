@@ -644,6 +644,33 @@ def test_json_text_fails_closed(value, error):
         _json_text(value)
 
 
+def _sharing(t):
+    """Trees holding the one tuple object `t` at two depths, in a list and in a dict."""
+    return [
+        [t, [t]],
+        {"a": t, "b": {"c": t}},
+        {"a": [t, {"b": (t, t)}], "c": t},
+        (t, [[t]], {"d": t}),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_json_trees.map(lambda v: (v, [v], "x")))
+@example((1, "upper", 0))
+@example(((0, "upper", 1), (2, "lower", 0)))
+def test_json_text_writes_a_shared_tuple_like_json(t):
+    for value in _sharing(t):
+        assert _json_text(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan")])
+def test_json_text_rejects_a_shared_non_finite_tuple_every_time(bad):
+    t = (1, (bad, 2))
+    for value in (*_sharing(t), t, [t], {"x": 0, "y": [t]}):
+        with pytest.raises(ValueError):
+            _json_text(value)
+
+
 # sha256 (first 16 hex digits) of `tidlab enumerate ARGS --json` stdout
 _CUBE = "(2,2)x(2,2)x(2,2)"
 ENUMERATE_DIGESTS = {
@@ -659,6 +686,23 @@ ENUMERATE_DIGESTS = {
 @pytest.mark.parametrize("argv, digest", ENUMERATE_DIGESTS.items(), ids=[" ".join(a) for a in ENUMERATE_DIGESTS])
 def test_enumerate_json_digest(capsys, argv, digest):
     code, out, _ = run(capsys, ["enumerate", *argv, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+
+
+# sha256 (first 16 hex digits) of `tidlab enumerate ARGS` text stdout
+ENUMERATE_TEXT_DIGESTS = {
+    (_CUBE, "--no-self"): "c49eb5af0a9fe0b9",
+    ("(2,1)x(2,1)x(1,2)", "--no-self", "--unordered", "--out", "(2,1)"): "4a2cf996340db13f",
+    ("(1,1)x(1,1)",): "5a79ab865bafd571",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest", ENUMERATE_TEXT_DIGESTS.items(), ids=[" ".join(a) for a in ENUMERATE_TEXT_DIGESTS]
+)
+def test_enumerate_text_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, ["enumerate", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 

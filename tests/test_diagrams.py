@@ -1,8 +1,10 @@
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
 
+from tidlab import graded, matrixops
 from tidlab.diagrams import (
     LOWER,
     UNORDERED_CONNECTED,
@@ -115,6 +117,44 @@ def test_every_enumerated_diagram_is_structurally_valid():
                 assert up.kind == "upper" and low.kind == "lower"
 
 
+def _pair(up, low):
+    return (SlotRef(*up), SlotRef(*low))
+
+
+@pytest.mark.parametrize(
+    "pairs, offending",
+    [
+        ({_pair((0, UPPER, 0), (1, UPPER, 0))}, SlotRef(1, UPPER, 0)),
+        ({_pair((0, LOWER, 0), (1, LOWER, 0))}, SlotRef(0, LOWER, 0)),
+        ({_pair((0, UPPER, 0), (2, LOWER, 0))}, SlotRef(2, LOWER, 0)),
+        ({_pair((3, UPPER, 0), (1, LOWER, 0))}, SlotRef(3, UPPER, 0)),
+        ({_pair((0, UPPER, 1), (1, LOWER, 0))}, SlotRef(0, UPPER, 1)),
+        ({_pair((0, UPPER, 0), (1, LOWER, 2))}, SlotRef(1, LOWER, 2)),
+        ({_pair((0, UPPER, 0), (1, LOWER, 0)), _pair((1, UPPER, 0), (1, LOWER, 0))}, SlotRef(1, LOWER, 0)),
+        ({_pair((0, UPPER, 0), (1, LOWER, 0)), _pair((0, UPPER, 0), (0, LOWER, 0))}, SlotRef(0, UPPER, 0)),
+    ],
+    ids=[
+        "upper-to-upper", "lower-to-lower", "lower-operand-out-of-range", "upper-operand-out-of-range",
+        "upper-position-out-of-range", "lower-position-out-of-range", "lower-used-twice", "upper-used-twice",
+    ],
+)
+def test_invalid_diagram_rejected_naming_the_slot(pairs, offending):
+    with pytest.raises(ValueError, match=re.escape(repr(offending))):
+        ContractionDiagram((MAT, MAT), frozenset(pairs))
+
+
+def test_phi2_and_chain_diagrams_are_enumerated():
+    # the diagrams the numeric identities contract are members of the enumerator's listings
+    outputs = [d for d in enumerate_diagrams([MAT, MAT]) if d.output_shape == MAT]
+    assert len(outputs) == 4
+    assert set(matrixops._PHI2_DIAGRAMS) == set(outputs)
+    for kind, chain in graded._CHAINS.items():
+        shapes = chain.operand_shapes
+        assert chain in enumerate_diagrams(shapes, EnumOptions(forbid_self_contraction=True))
+        assert chain.is_linear_chain()
+        assert chain.output_shape == shapes[0] == (HIGH if kind == graded.HIGH else LOW)
+
+
 def test_enumeration_deterministic():
     a = enumerate_diagrams([HIGH, HIGH, LOW], UNORDERED_CONNECTED)
     b = enumerate_diagrams([HIGH, HIGH, LOW], UNORDERED_CONNECTED)
@@ -166,9 +206,14 @@ def test_linear_family_rows():
 
 
 def test_diagram_json_roundtrip():
-    diagrams = enumerate_diagrams([MAT, MAT])
+    diagrams = enumerate_diagrams([MAT, MAT]) + enumerate_diagrams([HIGH, HIGH, LOW], EnumOptions(True))
     for d in diagrams:
         assert ContractionDiagram.from_json(d.to_json()) == d
+        # each call returns its own dict and pair list, so a caller's edit cannot leak
+        edited = d.to_json()
+        edited["pairs"].append(None)
+        edited["extra"] = 1
+        assert d.to_json() == {"operand_shapes": edited["operand_shapes"], "pairs": edited["pairs"][:-1]}
 
 
 def test_diagram_output_shape_examples():
