@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = [
@@ -87,44 +87,61 @@ class SlotRef:
 _Matching = tuple[tuple[int, int, int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContractionDiagram:
     """A set of (upper slot -> lower slot) pairs over an ordered operand list.
 
-    `matching`, set on construction, is the same pairs as a sorted `_Matching`.
+    The state is `matching`, the pairs as sorted `_Matching` rows; equality and
+    hash are on it and `operand_shapes`.  `pairs` is a view of it as `SlotRef`s.
     """
 
     operand_shapes: tuple[TensorShape, ...]
-    pairs: frozenset[tuple[SlotRef, SlotRef]]
-    matching: _Matching = field(init=False, repr=False, compare=False)
+    matching: _Matching
 
-    def __post_init__(self) -> None:
-        shapes, n = self.operand_shapes, len(self.operand_shapes)
+    def __init__(self, operand_shapes, pairs) -> None:
         rows = []
-        ups, lows = set(), set()  # (operand, position) of each used slot
-        for up, low in self.pairs:
-            if up.kind != UPPER or low.kind != LOWER:
+        for up, low in pairs:
+            if getattr(up, "kind", None) != UPPER or getattr(low, "kind", None) != LOWER:
                 raise ValueError(f"pair must join an upper slot to a lower slot: {(up, low)}")
-            row = u, up_pos, l, low_pos = up.operand, up.position, low.operand, low.position
-            if u >= n or l >= n:
-                raise ValueError(f"operand index out of range: {up if u >= n else low}")
-            if up_pos >= shapes[u].upper or low_pos >= shapes[l].lower:
+            rows.append((up.operand, up.position, low.operand, low.position))
+        vars(self).update(vars(self.from_matching(operand_shapes, rows)))
+
+    @classmethod
+    def from_matching(cls, operand_shapes, rows) -> "ContractionDiagram":
+        """The diagram of int rows (up_op, up_pos, low_op, low_pos), one per pair.
+
+        It makes every check that `ContractionDiagram(shapes, pairs)` makes,
+        with the same messages naming the offending `SlotRef`.
+        """
+        shapes, rows = tuple(operand_shapes), tuple(sorted(map(tuple, rows)))
+        n = len(shapes)
+        ups, lows = set(), set()  # (operand, position) of each used slot
+        for row in rows:
+            u, up_pos, l, low_pos = row
+            if not (0 <= u < n and 0 <= l < n
+                    and 0 <= up_pos < shapes[u].upper and 0 <= low_pos < shapes[l].lower):
+                up, low = _slot_refs(row)  # a negative index raises here, naming its slot
+                if u >= n or l >= n:
+                    raise ValueError(f"operand index out of range: {up if u >= n else low}")
                 ref, shape = (up, shapes[u]) if up_pos >= shapes[u].upper else (low, shapes[l])
                 raise ValueError(f"slot position out of range: {ref} on {shape}")
-            rows.append(row)
             ups.add((u, up_pos))
             lows.add((l, low_pos))
         if len(ups) < len(rows) or len(lows) < len(rows):
-            ((ref, _),) = Counter(ref for pair in self.pairs for ref in pair).most_common(1)
+            ((ref, _),) = Counter(ref for row in rows for ref in _slot_refs(row)).most_common(1)
             raise ValueError(f"slot used twice: {ref}")
-        rows.sort()
-        object.__setattr__(self, "matching", tuple(rows))
+        diagram = cls.__new__(cls)
+        object.__setattr__(diagram, "operand_shapes", shapes)
+        object.__setattr__(diagram, "matching", rows)
+        return diagram
+
+    @functools.cached_property
+    def pairs(self) -> frozenset[tuple[SlotRef, SlotRef]]:
+        return frozenset(map(_slot_refs, self.matching))
 
     @property
     def output_shape(self) -> TensorShape:
-        total_up = sum(s.upper for s in self.operand_shapes)
-        total_low = sum(s.lower for s in self.operand_shapes)
-        return TensorShape(total_up - len(self.pairs), total_low - len(self.pairs))
+        return _output_shape(self.operand_shapes, len(self.matching))
 
     def is_connected(self) -> bool:
         """True when the contraction edges join all operands into one component."""
@@ -139,7 +156,7 @@ class ContractionDiagram:
         """
         n = len(self.operand_shapes)
         if n == 1:
-            return len(self.pairs) == 0
+            return len(self.matching) == 0
         bundles: dict[tuple[int, int], set[int]] = {}
         for i, _, j, _ in self.matching:
             if abs(i - j) != 1:
@@ -163,14 +180,16 @@ class ContractionDiagram:
     @classmethod
     def from_json(cls, obj: dict) -> "ContractionDiagram":
         shapes = tuple(TensorShape(int(u), int(l)) for u, l in obj["operand_shapes"])
-        pairs = frozenset(
-            (SlotRef.from_json(u), SlotRef.from_json(l)) for u, l in obj["pairs"]
-        )
-        return cls(shapes, pairs)
+        return cls(shapes, [(SlotRef.from_json(u), SlotRef.from_json(l)) for u, l in obj["pairs"]])
 
     def __repr__(self) -> str:
         shapes = "x".join(str(s) for s in self.operand_shapes)
-        return f"ContractionDiagram({shapes}, {len(self.pairs)} pairs)"
+        return f"ContractionDiagram({shapes}, {len(self.matching)} pairs)"
+
+
+def _slot_refs(row: tuple[int, int, int, int]) -> tuple[SlotRef, SlotRef]:
+    up_op, up_pos, low_op, low_pos = row
+    return SlotRef(up_op, UPPER, up_pos), SlotRef(low_op, LOWER, low_pos)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -272,19 +291,25 @@ def enumerate_diagrams(
     out = options.required_output_shape
     chosen: dict[tuple, tuple] = {}  # key -> smallest sort key in the orbit
     # Slots within an operand permute freely, so under the slot quotient the sorted
-    # operand-level edges fix the orbit; each distinct edge multiset is minimised once.
-    slot_orbits: dict[tuple, tuple] = {}
+    # operand-level edges fix the orbit and decide connectivity: each distinct edge
+    # multiset is checked and minimised once, and a disconnected one maps to None.
+    slot_orbits: dict[tuple, Optional[tuple]] = {}
     for pairs in _all_matchings(shapes, options.forbid_self_contraction):
         n = len(pairs)
         if out is not None and (total_up - n, total_low - n) != (out.upper, out.lower):
             continue
-        if options.require_connected and not _connected(len(shapes), pairs):
-            continue
         if options.quotient_by_slot_symmetry:
             edges = tuple(sorted([(u, l) for u, _, l, _ in pairs]))
             if edges not in slot_orbits:
-                slot_orbits[edges] = min(tuple(sorted([(p[u], p[l]) for u, l in edges])) for p in op_perms)
+                keep = not options.require_connected or _connected(len(shapes), pairs)
+                slot_orbits[edges] = (
+                    min(tuple(sorted([(p[u], p[l]) for u, l in edges])) for p in op_perms) if keep else None
+                )
             key = slot_orbits[edges]
+            if key is None:
+                continue
+        elif options.require_connected and not _connected(len(shapes), pairs):
+            continue
         elif len(op_perms) == 1:
             key = pairs  # already sorted, and the identity is the only permutation
         else:
@@ -293,26 +318,22 @@ def enumerate_diagrams(
         prev = chosen.get(key)
         if prev is None or sort_key < prev:
             chosen[key] = sort_key
-    slots = {
-        (i, kind, p): SlotRef(i, kind, p)
-        for i, s in enumerate(shapes)
-        for kind, count in ((UPPER, s.upper), (LOWER, s.lower))
-        for p in range(count)
-    }
-    return [
-        ContractionDiagram(
-            shapes,
-            frozenset((slots[u, UPPER, up], slots[l, LOWER, lp]) for u, up, l, lp in pairs),
-        )
-        for _, pairs in sorted(chosen.values())
-    ]
+    return [ContractionDiagram.from_matching(shapes, pairs) for _, pairs in sorted(chosen.values())]
 
 
 def classify_by_output(
     diagrams: list[ContractionDiagram],
 ) -> dict[TensorShape, int]:
     """Histogram of output shapes, keys sorted for reproducible iteration."""
-    return dict(sorted(Counter(d.output_shape for d in diagrams).items()))
+    histogram: Counter = Counter()
+    for (shapes, n), count in Counter((d.operand_shapes, len(d.matching)) for d in diagrams).items():
+        histogram[_output_shape(shapes, n)] += count
+    return dict(sorted(histogram.items()))
+
+
+def _output_shape(shapes: tuple[TensorShape, ...], n: int) -> TensorShape:
+    """The free slots left when n pairs contract over the shapes."""
+    return TensorShape(sum(s.upper for s in shapes) - n, sum(s.lower for s in shapes) - n)
 
 
 def count_primary_operations(word_length: int, arity: int) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import definitions
 from .definitions import CANONICAL_CONVENTION, CROSSED, HIGH, LOW, OMEGA, PARALLEL, ChainConvention
-from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef, TensorShape
+from .diagrams import ContractionDiagram, TensorShape
 from .matrixops import relative_residual, worst_residual
 from .tensors import (
     DenseTensor, _batches, _columns, _contract, _random_draw, _random_member, _stack, _trial_seeds
@@ -127,13 +127,8 @@ class TernaryWeights:
 def _chain(shapes: tuple[TensorShape, ...]) -> ContractionDiagram:
     """The parallel left-to-right chain: each operand's uppers feed the next
     operand's lowers in order."""
-    return ContractionDiagram(
-        shapes,
-        frozenset(
-            (SlotRef(i, UPPER, k), SlotRef(i + 1, LOWER, k))
-            for i in range(len(shapes) - 1)
-            for k in range(shapes[i].upper)
-        ),
+    return ContractionDiagram.from_matching(
+        shapes, [(i, k, i + 1, k) for i in range(len(shapes) - 1) for k in range(shapes[i].upper)]
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import definitions
 from .definitions import Phi2Params
-from .diagrams import LOWER, UPPER, ContractionDiagram, SlotRef, TensorShape
+from .diagrams import ContractionDiagram, TensorShape
 from .tensors import DenseTensor, _batches, _columns, _contract, _stack
 
 __all__ = [
@@ -37,7 +37,7 @@ _PAIR_SHAPES = (_MAT, _MAT)
 
 def _pair_diagram(up: int, low: int) -> ContractionDiagram:
     """Operand `up`'s upper slot joined to operand `low`'s lower slot."""
-    return ContractionDiagram(_PAIR_SHAPES, frozenset({(SlotRef(up, UPPER, 0), SlotRef(low, LOWER, 0))}))
+    return ContractionDiagram.from_matching(_PAIR_SHAPES, [(up, 0, low, 0)])
 
 
 # the four elementary diagrams over two (1,1) operands with (1,1) output, in

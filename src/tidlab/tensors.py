@@ -12,7 +12,7 @@ trial per row; each public function on tensors is a batch of one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, fields
+from dataclasses import fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -208,8 +208,8 @@ def _einsum_plan(diagram: ContractionDiagram):
     """
     ids = itertools.count()
     label: dict[tuple[int, str, int], int] = {}
-    for up, low in sorted(diagram.pairs):
-        label[astuple(up)] = label[astuple(low)] = next(ids)
+    for up_op, up_pos, low_op, low_pos in diagram.matching:
+        label[up_op, UPPER, up_pos] = label[low_op, LOWER, low_pos] = next(ids)
     subs: list[tuple[int, ...]] = []
     free: dict[str, list[int]] = {UPPER: [], LOWER: []}
     for i, shape in enumerate(diagram.operand_shapes):

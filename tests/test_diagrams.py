@@ -132,15 +132,65 @@ def _pair(up, low):
         ({_pair((0, UPPER, 0), (1, LOWER, 2))}, SlotRef(1, LOWER, 2)),
         ({_pair((0, UPPER, 0), (1, LOWER, 0)), _pair((1, UPPER, 0), (1, LOWER, 0))}, SlotRef(1, LOWER, 0)),
         ({_pair((0, UPPER, 0), (1, LOWER, 0)), _pair((0, UPPER, 0), (0, LOWER, 0))}, SlotRef(0, UPPER, 0)),
+        ({_pair((1, LOWER, 0), (0, UPPER, 0))}, SlotRef(1, LOWER, 0)),
+        ({((0, UPPER, 0), (1, LOWER, 0))}, (0, UPPER, 0)),
     ],
     ids=[
         "upper-to-upper", "lower-to-lower", "lower-operand-out-of-range", "upper-operand-out-of-range",
         "upper-position-out-of-range", "lower-position-out-of-range", "lower-used-twice", "upper-used-twice",
+        "lower-to-upper", "plain-tuples-not-slotrefs",
     ],
 )
 def test_invalid_diagram_rejected_naming_the_slot(pairs, offending):
     with pytest.raises(ValueError, match=re.escape(repr(offending))):
         ContractionDiagram((MAT, MAT), frozenset(pairs))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 0, 2, 0)],
+        [(3, 0, 1, 0)],
+        [(0, 1, 1, 0)],
+        [(0, 0, 1, 2)],
+        [(0, 0, 1, 0), (1, 0, 1, 0)],
+        [(0, 0, 1, 0), (0, 0, 0, 0)],
+        [(-1, 0, 1, 0)],
+        [(0, 0, 1, -1)],
+    ],
+    ids=[
+        "lower-operand-out-of-range", "upper-operand-out-of-range", "upper-position-out-of-range",
+        "lower-position-out-of-range", "lower-used-twice", "upper-used-twice", "negative-operand",
+        "negative-position",
+    ],
+)
+def test_from_matching_rejects_with_the_pairs_message(rows):
+    # int rows carry no kinds, so the two kind cases above have no row form; a
+    # negative index has no SlotRef form, and SlotRef's own check names it
+    with pytest.raises(ValueError) as from_rows:
+        ContractionDiagram.from_matching((MAT, MAT), rows)
+    with pytest.raises(ValueError) as from_pairs:
+        ContractionDiagram((MAT, MAT), frozenset(_pair((u, UPPER, up), (l, LOWER, lp)) for u, up, l, lp in rows))
+    assert str(from_rows.value) == str(from_pairs.value)
+
+
+def test_matching_and_pairs_forms_agree_on_the_labelled_cube():
+    shapes = (TensorShape(2, 2),) * 3
+    diagrams = enumerate_diagrams(shapes, EnumOptions(forbid_self_contraction=True))
+    assert len(diagrams) == 2921
+    for d in diagrams:
+        from_rows = ContractionDiagram.from_matching(shapes, d.matching)
+        from_pairs = ContractionDiagram(shapes, d.pairs)
+        assert from_rows == from_pairs == d
+        assert hash(from_rows) == hash(from_pairs) == hash(d)
+        # the view is the SlotRef frozenset of the rows
+        assert d.pairs == frozenset(
+            (SlotRef(u, UPPER, up), SlotRef(l, LOWER, lp)) for u, up, l, lp in d.matching
+        )
+        assert ContractionDiagram.from_json(d.to_json()) == d
+    # equality is on the set of pairs, so the row order given does not matter
+    d = diagrams[-1]
+    assert ContractionDiagram.from_matching(shapes, reversed(d.matching)) == d
 
 
 def test_phi2_and_chain_diagrams_are_enumerated():

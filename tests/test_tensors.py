@@ -1,5 +1,6 @@
 import itertools
 import string
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -255,6 +256,51 @@ def test_chain_plans_span_at_most_four_labels():
         spans.append(set(itertools.chain(out_sub, *final_subs)))
         assert len(steps) == 1
         assert max(map(len, spans)) <= 4
+
+
+def _slotref_plan(diagram):
+    """Reference: `_einsum_plan` labelling the sorted SlotRef pairs through `astuple`, not `diagram.matching`."""
+    ids = itertools.count()
+    label = {}
+    for up, low in sorted(diagram.pairs):
+        label[astuple(up)] = label[astuple(low)] = next(ids)
+    subs = []
+    free = {UPPER: [], LOWER: []}
+    for i, shape in enumerate(diagram.operand_shapes):
+        sub = []
+        for kind, count in ((UPPER, shape.upper), (LOWER, shape.lower)):
+            for pos in range(count):
+                key = (i, kind, pos)
+                if key not in label:
+                    label[key] = next(ids)
+                    free[kind].append(label[key])
+                sub.append(label[key])
+        subs.append(tuple(sub))
+    out_sub = tuple(free[UPPER] + free[LOWER])
+    steps = []
+    while len(subs) > 2:
+        i, j = min(
+            itertools.combinations(range(len(subs)), 2),
+            key=lambda ij: len(set(subs[ij[0]] + subs[ij[1]])),
+        )
+        needed = set(out_sub).union(*(s for k, s in enumerate(subs) if k not in (i, j)))
+        kept = tuple(dict.fromkeys(x for x in subs[i] + subs[j] if x in needed))
+        steps.append((i, j, subs[i], subs[j], kept))
+        subs = [s for k, s in enumerate(subs) if k not in (i, j)] + [kept]
+    return tuple(steps), tuple(subs), out_sub
+
+
+def test_plans_label_as_the_sorted_slotref_pairs_did():
+    # sorted int rows and sorted SlotRef pairs have the same order, so the labels agree
+    diagrams = [
+        *_PHI2_DIAGRAMS,
+        *_CHAINS.values(),
+        *enumerate_diagrams([MAT, MAT]),
+        *enumerate_diagrams([HIGH, LOW, HIGH]),
+    ]
+    assert len(diagrams) == 4 + 2 + 7 + 501
+    for d in diagrams:
+        assert _einsum_plan(d) == _slotref_plan(d)
 
 
 def test_user_arrays_are_copied_and_results_read_only():
