@@ -169,11 +169,11 @@ def _identity6_numeric(cfg: RunConfig) -> Iterator[tuple]:
 
 
 def _phi4_numeric(cfg: RunConfig) -> Iterator[tuple]:
-    from .matrixops import _evaluate, _phi4
+    from .matrixops import _alternating, _evaluate
 
     trials = ((mats, _rand_params(seed * 1000 + k)) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
               for k in range(5))
-    return _evaluate(_phi4, trials)
+    return _evaluate(_alternating, trials)
 
 
 def _appendix1_numeric(cfg: RunConfig) -> Iterator[tuple]:

@@ -3,26 +3,34 @@
 Both routes read this module, the dense numerics (`matrixops`, `graded`) and
 the exact word expansion (`words`); it imports no tidlab module.  The routes
 read each table as an attribute at call time (`definitions.IDENTITY18_TERMS`),
-so one changed definition reaches both.
+so one changed definition reaches both.  The readers below say how a table
+reads in any ring; each route passes its own product and arithmetic.
 
 It also holds the plain value types a run is configured with, the binary
 product's coefficients (`Phi2Params`) and the chain pairing convention
 (`ChainConvention`); `matrixops` and `graded` re-export them.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
     "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA", "PRODUCT_FAMILY", "ZERO_SUM_FAMILY",
-    "CANONICAL_WEIGHT_POWERS", "family_member",
+    "CANONICAL_WEIGHT_POWERS", "PHI3_TERMS", "PHI4_TERMS", "family_member", "signed_sum", "alternating",
+    "nested_sum",
 ]
 
 HIGH = "high"  # word type with (2,1) components at even (0-based) positions
 LOW = "low"  # word type with (1,2) components at even (0-based) positions
+
+# the alternating sums over argument complements, complements in ascending
+# order: (s, "BCD", "A") means s·φ2(φ3(B, C, D), A), and an inner of two letters is φ2
+PHI3_TERMS: tuple[tuple[int, str, str], ...] = ((1, "BC", "A"), (-1, "AC", "B"), (1, "AB", "C"))
+PHI4_TERMS: tuple[tuple[int, str, str], ...] = ((1, "BCD", "A"), (-1, "ACD", "B"), (1, "ABD", "C"), (-1, "ABC", "D"))
 
 # the three-symbol cyclic sum, in printed order: "XYZ" means (X∘Y)∘Z
 JACOBI_TERMS: tuple[str, ...] = ("ABC", "BCA", "CAB")
@@ -78,13 +86,32 @@ ZERO_SUM_FAMILY: _Family = {"alpha": ((1, "alpha"),), "beta": ((1, "beta"),), "g
 CANONICAL_WEIGHT_POWERS: tuple[int, ...] = (0, 1, 2)
 
 
-def family_member(family: _Family, values: Mapping) -> dict:
-    """The family's coefficients at the free parameters `values` (name -> element of any ring).
+def signed_sum(terms: Iterable[tuple[int, Any]]):
+    """The sum of (sign, value) terms, left to right: a negative first term is negated, a later one subtracted."""
+    (sign, first), *rest = terms
+    total = first if sign > 0 else -first
+    for sign, value in rest:
+        total = total + value if sign > 0 else total - value
+    return total
 
-    A negative sign is unary `-` and each coefficient's terms are summed left to right.
-    """
-    signed = {field: [values[n] if sign > 0 else -values[n] for sign, n in terms] for field, terms in family.items()}
-    return {field: sum(vs[1:], vs[0]) for field, vs in signed.items()}
+
+def family_member(family: _Family, values: Mapping) -> dict:
+    """The family's coefficients at the free parameters `values` (name -> element of any ring)."""
+    return {field: signed_sum((sign, values[n]) for sign, n in terms) for field, terms in family.items()}
+
+
+def alternating(operands: Sequence, phi2: Callable):
+    """φ3 of three operands or φ4 of four, read from PHI3_TERMS or PHI4_TERMS with the product phi2."""
+    letters = dict(zip("ABCD", operands))
+    table = {3: PHI3_TERMS, 4: PHI4_TERMS}[len(operands)]
+    inner = lambda args: phi2(*args) if len(args) == 2 else alternating(args, phi2)
+    return signed_sum((sign, phi2(inner([letters[n] for n in names]), letters[last])) for sign, names, last in table)
+
+
+def nested_sum(terms: Iterable[str], operands: Sequence, phi2: Callable):
+    """The sum of left-nested terms over the operands lettered A, B, …: "XYZ" means phi2(phi2(X, Y), Z)."""
+    letters = dict(zip("ABCD", operands))
+    return signed_sum((1, functools.reduce(phi2, [letters[n] for n in term])) for term in terms)
 
 
 @dataclass(frozen=True)

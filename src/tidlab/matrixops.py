@@ -2,10 +2,10 @@
 
 The binary operation is A∘B = alpha·AB + beta·BA + gamma·A·TrB + delta·B·TrA,
 assembled from the four elementary contraction diagrams of two (1,1)
-operands.  Nesting it by alternating sums over argument complements gives the
+operands.  Read with it, `definitions.PHI3_TERMS` and `PHI4_TERMS` give the
 three- and four-argument brackets; with beta = -alpha and delta = -gamma the
 four-argument bracket vanishes identically, as does the twelve-term nested
-identity checked by `identity6_residual`.
+identity `IDENTITY6_TERMS` checked by `identity6_residual`.
 """
 
 from __future__ import annotations
@@ -53,11 +53,8 @@ def phi2(a: DenseTensor, b: DenseTensor, p: Phi2Params) -> DenseTensor:
 def phi3(
     a1: DenseTensor, a2: DenseTensor, a3: DenseTensor, p: Phi2Params
 ) -> DenseTensor:
-    """Alternating sum over complements: {{a2,a3},a1} - {{a1,a3},a2} + {{a1,a2},a3}.
-
-    Complements keep ascending argument order.
-    """
-    return _one(_phi3, (a1, a2, a3), p)
+    """The alternating sum `definitions.PHI3_TERMS` of nested phi2 products."""
+    return _one(_alternating, (a1, a2, a3), p)
 
 
 def phi4(
@@ -67,21 +64,21 @@ def phi4(
     a4: DenseTensor,
     p: Phi2Params,
 ) -> DenseTensor:
-    """Alternating sum of phi2(phi3(complement), a_i); zero when beta=-alpha, delta=-gamma."""
-    return _one(_phi4, (a1, a2, a3, a4), p)
+    """The alternating sum `definitions.PHI4_TERMS`; zero when beta=-alpha, delta=-gamma."""
+    return _one(_alternating, (a1, a2, a3, a4), p)
 
 
 def jacobi_cyclic_residual(
     a: DenseTensor, b: DenseTensor, c: DenseTensor, p: Phi2Params
 ) -> DenseTensor:
-    """(a∘b)∘c + (b∘c)∘a + (c∘a)∘b."""
+    """The cyclic sum `definitions.JACOBI_TERMS` of nested phi2 products."""
     return _one(_jacobi, (a, b, c), p)
 
 
 def identity6_residual(
     a: DenseTensor, b: DenseTensor, c: DenseTensor, d: DenseTensor, p: Phi2Params
 ) -> DenseTensor:
-    """The literal twelve-term nested sum, term order as printed."""
+    """The twelve-term nested sum `definitions.IDENTITY6_TERMS`, term order as printed."""
     return _one(_identity6, (a, b, c, d), p)
 
 
@@ -96,33 +93,17 @@ def _phi2(a, b, p):
     return sum(terms[1:], terms[0])
 
 
-def _phi3(a1, a2, a3, p):
-    return (
-        _phi2(_phi2(a2, a3, p), a1, p)
-        - _phi2(_phi2(a1, a3, p), a2, p)
-        + _phi2(_phi2(a1, a2, p), a3, p)
-    )
-
-
-def _phi4(a1, a2, a3, a4, p):
-    return (
-        _phi2(_phi3(a2, a3, a4, p), a1, p)
-        - _phi2(_phi3(a1, a3, a4, p), a2, p)
-        + _phi2(_phi3(a1, a2, a4, p), a3, p)
-        - _phi2(_phi3(a1, a2, a3, p), a4, p)
-    )
+def _alternating(*args):
+    *operands, p = args
+    return definitions.alternating(operands, lambda x, y: _phi2(x, y, p))
 
 
 def _jacobi(a, b, c, p):
-    m = {"A": a, "B": b, "C": c}
-    terms = [_phi2(_phi2(m[x], m[y], p), m[z], p) for x, y, z in definitions.JACOBI_TERMS]
-    return sum(terms[1:], terms[0])
+    return definitions.nested_sum(definitions.JACOBI_TERMS, (a, b, c), lambda x, y: _phi2(x, y, p))
 
 
 def _identity6(a, b, c, d, p):
-    m = {"A": a, "B": b, "C": c, "D": d}
-    terms = [_phi2(_phi2(_phi2(m[w], m[x], p), m[y], p), m[z], p) for w, x, y, z in definitions.IDENTITY6_TERMS]
-    return sum(terms[1:], terms[0])
+    return definitions.nested_sum(definitions.IDENTITY6_TERMS, (a, b, c, d), lambda x, y: _phi2(x, y, p))
 
 
 def _evaluate(fn, trials: Iterable[tuple[Sequence[DenseTensor], Phi2Params]]):

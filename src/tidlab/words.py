@@ -288,29 +288,21 @@ def expand_phi2_symbolic(
 
 
 def phi3_symbolic(x1: FormalSum, x2: FormalSum, x3: FormalSum, params=None) -> FormalSum:
-    """Alternating sum of nested pair products over a symbol triple."""
-    f = lambda a, b: expand_phi2_symbolic(a, b, params)
-    return f(f(x2, x3), x1) - f(f(x1, x3), x2) + f(f(x1, x2), x3)
+    """The alternating sum `definitions.PHI3_TERMS` of nested pair products over trace words."""
+    return definitions.alternating((x1, x2, x3), lambda u, v: expand_phi2_symbolic(u, v, params))
 
 
 def phi4_symbolic(
     x1: FormalSum, x2: FormalSum, x3: FormalSum, x4: FormalSum, params=None
 ) -> FormalSum:
-    f = lambda a, b: expand_phi2_symbolic(a, b, params)
-    return (
-        f(phi3_symbolic(x2, x3, x4, params), x1)
-        - f(phi3_symbolic(x1, x3, x4, params), x2)
-        + f(phi3_symbolic(x1, x2, x4, params), x3)
-        - f(phi3_symbolic(x1, x2, x3, params), x4)
-    )
+    """The alternating sum `definitions.PHI4_TERMS` of nested pair products over trace words."""
+    return definitions.alternating((x1, x2, x3, x4), lambda u, v: expand_phi2_symbolic(u, v, params))
 
 
 def cyclic_sum_symbolic(a: str, b: str, c: str, params=None) -> FormalSum:
-    """(a∘b)∘c + (b∘c)∘a + (c∘a)∘b over trace words."""
-    x = {"A": symbol_word(a), "B": symbol_word(b), "C": symbol_word(c)}
-    f = lambda u, v: expand_phi2_symbolic(u, v, params)
-    terms = [f(f(x[p], x[q]), x[r]) for p, q, r in definitions.JACOBI_TERMS]
-    return sum(terms[1:], terms[0])
+    """The cyclic sum `definitions.JACOBI_TERMS` of nested pair products over trace words."""
+    operands = [symbol_word(s) for s in (a, b, c)]
+    return definitions.nested_sum(definitions.JACOBI_TERMS, operands, lambda u, v: expand_phi2_symbolic(u, v, params))
 
 
 def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
@@ -348,19 +340,14 @@ def verify_identity6_symbolic(params=None) -> Identity6Report:
     """
     if params is None:
         params = constrained_params()
-    syms = {s: symbol_word(s) for s in "ABCD"}
+    syms = [symbol_word(s) for s in "ABCD"]
     f = lambda u, v: expand_phi2_symbolic(u, v, params)
-
-    def nested(term: str) -> FormalSum:
-        w, x, y, z = term
-        return f(f(f(syms[w], syms[x]), syms[y]), syms[z])
-
     group_terms: dict[str, tuple[str, ...]] = {}
     group_pairs: dict[str, list] = {}
     for term in definitions.IDENTITY6_TERMS:
         final = term[3]
         group_terms[final] = group_terms.get(final, ()) + (term,)
-        group_pairs.setdefault(final, []).extend(nested(term).terms.items())
+        group_pairs.setdefault(final, []).extend(definitions.nested_sum((term,), syms, f).terms.items())
     groups = {final: _formal_sum(pairs) for final, pairs in group_pairs.items()}
     total = _formal_sum(itertools.chain.from_iterable(group_pairs.values()))
     offending = tuple((w, c) for w, c in total.sorted_terms())

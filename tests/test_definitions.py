@@ -8,6 +8,7 @@ them.
 """
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -22,9 +23,19 @@ import tidlab.definitions
 from tidlab.cli import _rand_params, _unit, main
 from tidlab.definitions import OMEGA, Phi2Params
 from tidlab.graded import TernaryWeights
-from tidlab.matrixops import closed_remainder
+from tidlab.matrixops import closed_remainder, identity6_residual, jacobi_cyclic_residual, phi3, phi4
 from tidlab.tensors import TensorShape, random_tensor
-from tidlab.words import canonical_cubic_weights, closed_remainder_symbolic, evaluate_trace_sum
+from tidlab.words import (
+    canonical_cubic_weights,
+    closed_remainder_symbolic,
+    cyclic_sum_symbolic,
+    evaluate_trace_sum,
+    generic_params,
+    phi3_symbolic,
+    phi4_symbolic,
+    symbol_word,
+    verify_identity6_symbolic,
+)
 
 PACKAGE = Path(tidlab.definitions.__file__).resolve().parent
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
@@ -116,6 +127,8 @@ MUTATIONS = [
     ("CYCLIC16_TERMS", "ACB", "cyclic16", "cyclic16/numeric", "cyclic16/symbolic", "unexpected coefficients"),
     ("CLOSED_REMAINDER_TERMS", ("A", "BC", "CB"), "appendix1", "appendix1/numeric", "appendix1/symbolic",
      "mismatch"),
+    ("PHI3_TERMS", (-1, "BC", "A"), "phi4", "phi4/numeric", "phi4/symbolic", "44 words"),
+    ("PHI4_TERMS", (-1, "BCD", "A"), "phi4", "phi4/numeric", "phi4/symbolic", "18 words"),
 ]
 # every term table has a control, checked when the tests are collected
 assert {m[0] for m in MUTATIONS} == {n for n in tidlab.definitions.__all__ if n.endswith("_TERMS")}
@@ -133,6 +146,105 @@ def test_one_mutated_definition_fails_both_routes(monkeypatch, capsys, name, ter
     assert checks[numeric]["residual"] > 0.1
     assert not checks[exact]["pass"]
     assert detail in checks[exact]["digest"]
+
+
+def _single_site_mutants(table: tuple):
+    """(row index, mutated row) for every one-row change: the row's sign flipped, or two of its letters swapped.
+
+    A signed row (sign, inner, outer) swaps letters across inner and outer too.
+    """
+    for i, row in enumerate(table):
+        sign, letters, cut = (row[0], row[1] + row[2], len(row[1])) if isinstance(row, tuple) else (None, row, None)
+        changes = [(-sign, letters)] if sign is not None else []
+        for j, k in itertools.combinations(range(len(letters)), 2):
+            swapped = list(letters)
+            swapped[j], swapped[k] = swapped[k], swapped[j]
+            changes.append((sign, "".join(swapped)))
+        for new_sign, new in changes:
+            yield i, new if sign is None else (new_sign, new[:cut], new[cut:])
+
+
+# each binary term table: (its single-site mutant count, the suite, and that suite's two rows every mutant must fail)
+SWEEP = {
+    "PHI3_TERMS": (12, "phi4", "phi4/numeric", "phi4/symbolic"),
+    "PHI4_TERMS": (28, "phi4", "phi4/numeric", "phi4/symbolic"),
+    "JACOBI_TERMS": (9, "appendix1", "appendix1/numeric", "appendix1/symbolic"),
+    "IDENTITY6_TERMS": (72, "identity6", "identity6/numeric", "identity6/symbolic"),
+    "CYCLIC16_TERMS": (9, "cyclic16", "cyclic16/numeric", "cyclic16/symbolic"),
+}
+# the frozen survivors, (table, row index, mutated row) passing a row of their suite; a new one fails the sweep
+SWEEP_SURVIVORS: set = set()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_every_single_site_mutant_fails_both_routes(monkeypatch, capsys, name):
+    count, suite, numeric, exact = SWEEP[name]
+    table = getattr(tidlab.definitions, name)
+    mutants = list(_single_site_mutants(table))
+    assert len(mutants) == count
+    survivors = set()
+    for i, row in mutants:
+        monkeypatch.setattr(tidlab.definitions, name, table[:i] + (row,) + table[i + 1:])
+        checks = _verify(suite, capsys)
+        if checks[numeric]["pass"] or checks[exact]["pass"]:
+            survivors.add((name, i, row))
+    assert survivors == {s for s in SWEEP_SURVIVORS if s[0] == name}
+
+
+class _Trees(dict):
+    """An element of the free magma's integer span: tree string -> nonzero coefficient."""
+
+    def __add__(self, other):
+        out = dict(self)
+        for tree, c in other.items():
+            out[tree] = out.get(tree, 0) + c
+        return _Trees({tree: c for tree, c in out.items() if c})
+
+    def __neg__(self):
+        return _Trees({tree: -c for tree, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+
+def _magma_product(x, y):
+    return _Trees({f"({s}{t})": c * d for s, c in x.items() for t, d in y.items()})
+
+
+_ATOMS = [_Trees({s: 1}) for s in "ABCD"]
+
+
+def test_readers_give_the_documented_trees():
+    # the notation alone, in a ring where every tree is its own basis element
+    read = tidlab.definitions
+    assert read.alternating(_ATOMS[:3], _magma_product) == {"((BC)A)": 1, "((AC)B)": -1, "((AB)C)": 1}
+    assert read.alternating(_ATOMS, _magma_product) == {
+        "(((CD)B)A)": 1, "(((BD)C)A)": -1, "(((BC)D)A)": 1,
+        "(((CD)A)B)": -1, "(((AD)C)B)": 1, "(((AC)D)B)": -1,
+        "(((BD)A)C)": 1, "(((AD)B)C)": -1, "(((AB)D)C)": 1,
+        "(((BC)A)D)": -1, "(((AC)B)D)": 1, "(((AB)C)D)": -1,
+    }
+    assert read.nested_sum(read.JACOBI_TERMS, _ATOMS[:3], _magma_product) == {"((AB)C)": 1, "((BC)A)": 1, "((CA)B)": 1}
+    assert read.signed_sum([(-1, _ATOMS[0]), (1, _ATOMS[1]), (-1, _ATOMS[0])]) == {"A": -2, "B": 1}
+
+
+def test_both_routes_agree_by_value_where_the_identities_do_not_vanish():
+    # generic (alpha, beta, gamma, delta): no identity holds, so agreement is a comparison of two nonzero values
+    rng = np.random.default_rng(23)
+    p = Phi2Params(*(complex(*rng.uniform(-1, 1, 2)) for _ in range(4)))
+    mats = [random_tensor(TensorShape(1, 1), 3, seed) for seed in (31, 32, 33, 34)]
+    symbols = [symbol_word(s) for s in "ABCD"]
+    pairs = [
+        (phi3(*mats[:3], p), phi3_symbolic(*symbols[:3], generic_params())),
+        (phi4(*mats, p), phi4_symbolic(*symbols, generic_params())),
+        (jacobi_cyclic_residual(*mats[:3], p), cyclic_sum_symbolic("A", "B", "C", generic_params())),
+        (identity6_residual(*mats, p), verify_identity6_symbolic(generic_params()).total),
+    ]
+    matrices = {s: m.data for s, m in zip("ABCD", mats)}
+    for numeric, symbolic in pairs:
+        value = evaluate_trace_sum(symbolic, matrices, p.as_dict())
+        assert np.linalg.norm(numeric.data) > 0.1
+        assert np.linalg.norm(numeric.data - value) <= 1e-10 * np.linalg.norm(numeric.data)
 
 
 _PRODUCT_BROKEN = {**tidlab.definitions.PRODUCT_FAMILY, "delta": ((1, "gamma"),)}  # delta = +gamma

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from tidlab import definitions
 from tidlab.matrixops import (
     Phi2Params,
+    _alternating,
     _evaluate,
-    _phi4,
+    _identity6,
+    _jacobi,
+    _phi2,
     closed_remainder,
     identity6_residual,
     jacobi_cyclic_residual,
@@ -169,9 +173,50 @@ def test_relative_residual_scale_invariance():
 
 def test_phi4_is_a_slice_of_the_batch():
     trials = [(rand_mats(3, seed, 4), rand_constrained(seed)) for seed in range(40)]
-    for (res, mats), (ops, p) in zip(_evaluate(_phi4, trials), trials):
+    for (res, mats), (ops, p) in zip(_evaluate(_alternating, trials), trials):
         assert mats is ops
         assert res.data.tobytes() == phi4(*ops, p).data.tobytes()
+
+
+# each table fold written out by hand from _phi2, in the order of the printed sums
+def _phi3_written(a1, a2, a3, p):
+    return _phi2(_phi2(a2, a3, p), a1, p) - _phi2(_phi2(a1, a3, p), a2, p) + _phi2(_phi2(a1, a2, p), a3, p)
+
+
+def _phi4_written(a1, a2, a3, a4, p):
+    return (
+        _phi2(_phi3_written(a2, a3, a4, p), a1, p)
+        - _phi2(_phi3_written(a1, a3, a4, p), a2, p)
+        + _phi2(_phi3_written(a1, a2, a4, p), a3, p)
+        - _phi2(_phi3_written(a1, a2, a3, p), a4, p)
+    )
+
+
+def _jacobi_written(a, b, c, p):
+    m = {"A": a, "B": b, "C": c}
+    terms = [_phi2(_phi2(m[x], m[y], p), m[z], p) for x, y, z in definitions.JACOBI_TERMS]
+    return sum(terms[1:], terms[0])
+
+
+def _identity6_written(a, b, c, d, p):
+    m = {"A": a, "B": b, "C": c, "D": d}
+    terms = [_phi2(_phi2(_phi2(m[w], m[x], p), m[y], p), m[z], p) for w, x, y, z in definitions.IDENTITY6_TERMS]
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize(
+    "fold, written, arity",
+    [(_alternating, _phi3_written, 3), (_alternating, _phi4_written, 4), (_jacobi, _jacobi_written, 3),
+     (_identity6, _identity6_written, 4)],
+    ids=["phi3", "phi4", "jacobi", "identity6"],
+)
+def test_table_folds_sum_in_the_written_order(fold, written, arity):
+    # generic parameters, so no sum cancels; equal bytes pin the summation order without freezing digits
+    rng = np.random.default_rng(arity)
+    trials = [(rand_mats(3, seed, arity), Phi2Params(*rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)))
+              for seed in range(40)]
+    for (res, _), (want, _) in zip(_evaluate(fold, trials), _evaluate(written, trials), strict=True):
+        assert res.data.tobytes() == want.data.tobytes()
 
 
 def test_worst_residual_of_no_trials_fails_closed():

@@ -31,7 +31,8 @@ ALL = {
     "definitions": {
         "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
         "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA", "PRODUCT_FAMILY", "ZERO_SUM_FAMILY",
-        "CANONICAL_WEIGHT_POWERS", "family_member",
+        "CANONICAL_WEIGHT_POWERS", "PHI3_TERMS", "PHI4_TERMS", "family_member", "signed_sum", "alternating",
+        "nested_sum",
     },
     "diagrams": {
         "UPPER", "LOWER", "SlotRef", "ContractionDiagram", "EnumOptions", "UNORDERED_CONNECTED",
