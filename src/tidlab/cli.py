@@ -224,8 +224,7 @@ def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
     from .cyclo import _E1, _VAR
     from .words import expand_three_commutator_symbolic
 
-    terms = [expand_three_commutator_symbolic(*term) for term in definitions.CYCLIC16_TERMS]
-    total = sum(terms[1:], terms[0])
+    total = definitions.nested_sum(definitions.CYCLIC16_TERMS, "ABC", expand_three_commutator_symbolic, 3)
     if not (len(total) == 12 and all(c == _E1 for _, c in total.sorted_terms())):
         return False, "unexpected coefficients"
     # every word's coefficient is e1, so the identity holds on the weight family only if e1 vanishes there

@@ -11,7 +11,6 @@ product's coefficients (`Phi2Params`) and the chain pairing convention
 (`ChainConvention`); `matrixops` and `graded` re-export them.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, astuple, dataclass, fields
@@ -108,10 +107,16 @@ def alternating(operands: Sequence, phi2: Callable):
     return signed_sum((sign, phi2(inner([letters[n] for n in names]), letters[last])) for sign, names, last in table)
 
 
-def nested_sum(terms: Iterable[str], operands: Sequence, phi2: Callable):
-    """The sum of left-nested terms over the operands lettered A, B, …: "XYZ" means phi2(phi2(X, Y), Z)."""
-    letters = dict(zip("ABCD", operands))
-    return signed_sum((1, functools.reduce(phi2, [letters[n] for n in term])) for term in terms)
+def nested_sum(terms: Iterable[str], operands: Sequence, product: Callable, arity: int = 2):
+    """The sum of left-nested terms over the operands lettered A–E.
+
+    Each step applies `product` to the value so far and the next arity - 1 letters: with arity 2
+    "XYZ" means product(product(X, Y), Z), and with arity 3 "PQRST" means product(product(P, Q, R), S, T).
+    """
+    letters = dict(zip("ABCDE", operands))
+    cut = 1 - arity  # a term's last arity - 1 letters are the outermost product's other operands
+    nested = lambda t: product(nested(t[:cut]), *(letters[n] for n in t[cut:])) if len(t) > 1 else letters[t]
+    return signed_sum((1, nested(term)) for term in terms)
 
 
 @dataclass(frozen=True)

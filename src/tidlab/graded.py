@@ -137,12 +137,9 @@ _CHAINS = {
     HIGH: _chain((_HIGH_SHAPE, _LOW_SHAPE, _HIGH_SHAPE)),
     LOW: _chain((_LOW_SHAPE, _HIGH_SHAPE, _LOW_SHAPE)),
 }
-# word kind, which is also its outer component -> (middle component, axes
-# swapping a batch of middles' doubled-edge slots: the lowers of a (1,2)
-# middle, the uppers of a (2,1) one)
-_WORD_PARTS = {HIGH: (LOW, (0, 1, 3, 2)), LOW: (HIGH, (0, 2, 1, 3))}
-
-
+# word kind -> axes swapping a batch of its middles' doubled-edge slots: the
+# lowers of a (1,2) middle, the uppers of a (2,1) one
+_WORD_PARTS = {HIGH: (0, 1, 3, 2), LOW: (0, 2, 1, 3)}
 
 
 def three_commutator(
@@ -196,9 +193,10 @@ def identity18_residual(
     return _one(_identity18, (a, b, c, d, e), weights, convention)
 
 
-# The implementations run on batches of pairs, each a dict from component
-# (HIGH: the (2,1) part, LOW: the (1,2) part) to an (n, dim, dim, dim) array
-# with one trial per row; the weights' fields are (n, 1, 1, 1) columns.
+# The implementations run on batches of pairs, each one (2, n, dim, dim, dim) array with one
+# trial per row: component 0 is the (1,2) part, the ends of a LOW word, and component 1 the (2,1)
+# part, the ends of a HIGH word, so a word's middle is the other component.  The weights' fields
+# are (n, 1, 1, 1) columns.
 
 
 def _fold_middle(t: np.ndarray, swap: tuple[int, ...], pairings: tuple[str, str]) -> np.ndarray:
@@ -211,32 +209,26 @@ def _three_commutator(x, y, z, weights, convention):
     args = (x, y, z)
     v = astuple(convention)  # field order: high (l2r, r2l), then low (l2r, r2l)
     pairings = {HIGH: v[:2], LOW: v[2:]}
-    out = {}
-    for kind, (middle, swap) in _WORD_PARTS.items():
-        ends = [arg[kind] for arg in args]
-        mids = [_fold_middle(arg[middle], swap, pairings[kind]) for arg in args]
+    out = np.empty_like(x)
+    for c, kind in enumerate((LOW, HIGH)):
+        ends = [arg[c] for arg in args]
+        mids = [_fold_middle(arg[1 - c], _WORD_PARTS[kind], pairings[kind]) for arg in args]
         terms = [
             _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * getattr(weights, w)
             for (i, j, k), w in definitions.BRACKET_WORD_ORDER
         ]
-        out[kind] = sum(terms[1:], terms[0])
+        out[c] = sum(terms[1:], terms[0])
     return out
 
 
-def _pair_sum(terms: list[dict]) -> dict:
-    return {kind: sum((t[kind] for t in terms[1:]), terms[0][kind]) for kind in (HIGH, LOW)}
-
-
 def _cyclic(x, y, z, weights, convention):
-    v = {"A": x, "B": y, "C": z}
     bracket = partial(_three_commutator, weights=weights, convention=convention)
-    return _pair_sum([bracket(v[p], v[q], v[r]) for p, q, r in definitions.CYCLIC16_TERMS])
+    return definitions.nested_sum(definitions.CYCLIC16_TERMS, (x, y, z), bracket, 3)
 
 
 def _identity18(a, b, c, d, e, weights, convention):
-    v = {"A": a, "B": b, "C": c, "D": d, "E": e}
     bracket = partial(_three_commutator, weights=weights, convention=convention)
-    return _pair_sum([bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in definitions.IDENTITY18_TERMS])
+    return definitions.nested_sum(definitions.IDENTITY18_TERMS, (a, b, c, d, e), bracket, 3)
 
 
 def _evaluate(fn, trials, convention: ChainConvention):
@@ -244,9 +236,9 @@ def _evaluate(fn, trials, convention: ChainConvention):
     for chunk in _batches(trials):
         parts = [[c for x in pairs for c in (x.low, x.high)] for pairs, _ in chunk]
         dim, arrays = _stack(parts, (_LOW_SHAPE, _HIGH_SHAPE) * len(chunk[0][0]))
-        args = [{LOW: low, HIGH: high} for low, high in zip(arrays[::2], arrays[1::2])]
+        args = [np.stack(pair) for pair in zip(arrays[::2], arrays[1::2])]
         out = fn(*args, _columns([w for _, w in chunk], 3), convention)
-        for (pairs, _), low, high in zip(chunk, out[LOW], out[HIGH]):
+        for (pairs, _), low, high in zip(chunk, *out):
             yield GradedPair(DenseTensor(_LOW_SHAPE, dim, low), DenseTensor(_HIGH_SHAPE, dim, high)), pairs
 
 

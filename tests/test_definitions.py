@@ -171,24 +171,63 @@ SWEEP = {
     "JACOBI_TERMS": (9, "appendix1", "appendix1/numeric", "appendix1/symbolic"),
     "IDENTITY6_TERMS": (72, "identity6", "identity6/numeric", "identity6/symbolic"),
     "CYCLIC16_TERMS": (9, "cyclic16", "cyclic16/numeric", "cyclic16/symbolic"),
+    "IDENTITY18_TERMS": (200, "identity18", "identity18/numeric", "appendix2/exact"),
 }
 # the frozen survivors, (table, row index, mutated row) passing a row of their suite; a new one fails the sweep
 SWEEP_SURVIVORS: set = set()
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP))
-def test_every_single_site_mutant_fails_both_routes(monkeypatch, capsys, name):
-    count, suite, numeric, exact = SWEEP[name]
+def _survivors(monkeypatch, capsys, name, mutants, suite, numeric, exact) -> set:
+    """The (table, row index, mutated row) mutants that pass a row of the suite."""
     table = getattr(tidlab.definitions, name)
-    mutants = list(_single_site_mutants(table))
-    assert len(mutants) == count
     survivors = set()
     for i, row in mutants:
         monkeypatch.setattr(tidlab.definitions, name, table[:i] + (row,) + table[i + 1:])
         checks = _verify(suite, capsys)
         if checks[numeric]["pass"] or checks[exact]["pass"]:
             survivors.add((name, i, row))
+    return survivors
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_every_single_site_mutant_fails_both_routes(monkeypatch, capsys, name):
+    count, suite, numeric, exact = SWEEP[name]
+    mutants = list(_single_site_mutants(getattr(tidlab.definitions, name)))
+    assert len(mutants) == count
+    survivors = _survivors(monkeypatch, capsys, name, mutants, suite, numeric, exact)
     assert survivors == {s for s in SWEEP_SURVIVORS if s[0] == name}
+
+
+def _bracket_order_mutants(table: tuple):
+    """(entry index, mutated entry) for every one-entry change: its weight or its order replaced."""
+    for i, (order, weight) in enumerate(table):
+        for other in ("alpha", "beta", "gamma"):
+            if other != weight:
+                yield i, (order, other)
+        for other in itertools.permutations(range(3)):
+            if other != order:
+                yield i, (other, weight)
+
+
+# the suites BRACKET_WORD_ORDER drives, each with its two rows and its frozen survivors (entry index, mutated entry)
+BRACKET_SWEEP = {
+    "identity18": ("identity18/numeric", "appendix2/exact", set()),
+    # the cyclic sum is blind to a word order replaced by one of its cyclic rotations under the same weight
+    "cyclic16": ("cyclic16/numeric", "cyclic16/symbolic", {
+        (0, ((1, 2, 0), "alpha")), (0, ((2, 0, 1), "alpha")), (1, ((1, 0, 2), "alpha")), (1, ((0, 2, 1), "alpha")),
+        (2, ((0, 1, 2), "beta")), (2, ((1, 2, 0), "beta")), (3, ((0, 2, 1), "beta")), (3, ((2, 1, 0), "beta")),
+        (4, ((2, 1, 0), "gamma")), (4, ((1, 0, 2), "gamma")), (5, ((2, 0, 1), "gamma")), (5, ((0, 1, 2), "gamma")),
+    }),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BRACKET_SWEEP))
+def test_every_bracket_word_order_mutant_fails_both_routes(monkeypatch, capsys, suite):
+    numeric, exact, frozen = BRACKET_SWEEP[suite]
+    mutants = list(_bracket_order_mutants(tidlab.definitions.BRACKET_WORD_ORDER))
+    assert len(mutants) == 42
+    survivors = _survivors(monkeypatch, capsys, "BRACKET_WORD_ORDER", mutants, suite, numeric, exact)
+    assert survivors == {("BRACKET_WORD_ORDER", i, entry) for i, entry in frozen}
 
 
 class _Trees(dict):
@@ -211,6 +250,10 @@ def _magma_product(x, y):
     return _Trees({f"({s}{t})": c * d for s, c in x.items() for t, d in y.items()})
 
 
+def _magma_triple(x, y, z):
+    return _Trees({f"({s}{t}{u})": c * d * e for s, c in x.items() for t, d in y.items() for u, e in z.items()})
+
+
 _ATOMS = [_Trees({s: 1}) for s in "ABCD"]
 
 
@@ -225,6 +268,13 @@ def test_readers_give_the_documented_trees():
         "(((BC)A)D)": -1, "(((AC)B)D)": 1, "(((AB)C)D)": -1,
     }
     assert read.nested_sum(read.JACOBI_TERMS, _ATOMS[:3], _magma_product) == {"((AB)C)": 1, "((BC)A)": 1, "((CA)B)": 1}
+    assert read.nested_sum(read.IDENTITY6_TERMS, _ATOMS, _magma_product, 2)["(((CB)D)A)"] == 1
+    # arity 3: each step brackets the value so far with the next two letters
+    atoms = _ATOMS + [_Trees({"E": 1})]
+    assert read.nested_sum(read.CYCLIC16_TERMS, atoms[:3], _magma_triple, 3) == {"(ABC)": 1, "(CAB)": 1, "(BCA)": 1}
+    trees = read.nested_sum(read.IDENTITY18_TERMS, atoms, _magma_triple, 3)
+    assert trees == {f"(({term[:3]}){term[3:]})": 1 for term in read.IDENTITY18_TERMS}
+    assert len(trees) == 20 and "((ABC)DE)" in trees and "((ECA)DB)" in trees
     assert read.signed_sum([(-1, _ATOMS[0]), (1, _ATOMS[1]), (-1, _ATOMS[0])]) == {"A": -2, "B": 1}
 
 

@@ -1,8 +1,11 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from tidlab.graded import (
     _CHAINS,
+    _cyclic,
     _evaluate,
     _identity18,
     CANONICAL_CONVENTION,
@@ -18,7 +21,8 @@ from tidlab.graded import (
     random_graded_pair,
     three_commutator,
 )
-from tidlab.tensors import DenseTensor, TensorShape, random_tensor
+from tidlab.tensors import DenseTensor, TensorShape, _batches, _columns, _contract, _stack, random_tensor
+from tidlab.definitions import CYCLIC16_TERMS, IDENTITY18_TERMS
 from tidlab.words import BRACKET_WORD_ORDER, HIGH, LOW, GradedWord, word_generators
 
 
@@ -293,3 +297,62 @@ def test_identity18_residual_is_a_slice_of_the_batch():
         one = identity18_residual(*ops, w, conv)
         assert res.low.data.tobytes() == one.low.data.tobytes()
         assert res.high.data.tobytes() == one.high.data.tobytes()
+
+
+# the dict-based batch path that the term-table reader replaced, kept to pin
+# the summation order: a batch of pairs is {LOW: (n, dim, dim, dim), HIGH: …}
+def _dict_three_commutator(x, y, z, weights, convention):
+    args = (x, y, z)
+    v = astuple(convention)
+    pairings = {HIGH: v[:2], LOW: v[2:]}
+    out = {}
+    for kind, (middle, swap) in {HIGH: (LOW, (0, 1, 3, 2)), LOW: (HIGH, (0, 2, 1, 3))}.items():
+        ends = [arg[kind] for arg in args]
+        mids = []
+        for arg in args:
+            l2r, r2l = (arg[middle].transpose(swap) if p == CROSSED else arg[middle] for p in pairings[kind])
+            mids.append(l2r + r2l)
+        terms = [
+            _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * getattr(weights, w)
+            for (i, j, k), w in BRACKET_WORD_ORDER
+        ]
+        out[kind] = sum(terms[1:], terms[0])
+    return out
+
+
+def _dict_pair_sum(terms):
+    return {kind: sum((t[kind] for t in terms[1:]), terms[0][kind]) for kind in (HIGH, LOW)}
+
+
+def _dict_cyclic(x, y, z, weights, convention):
+    v = {"A": x, "B": y, "C": z}
+    bracket = lambda p, q, r: _dict_three_commutator(p, q, r, weights, convention)
+    return _dict_pair_sum([bracket(v[p], v[q], v[r]) for p, q, r in CYCLIC16_TERMS])
+
+
+def _dict_identity18(a, b, c, d, e, weights, convention):
+    v = {"A": a, "B": b, "C": c, "D": d, "E": e}
+    bracket = lambda p, q, r: _dict_three_commutator(p, q, r, weights, convention)
+    return _dict_pair_sum([bracket(bracket(v[p], v[q], v[r]), v[s], v[t]) for p, q, r, s, t in IDENTITY18_TERMS])
+
+
+def _dict_evaluate(fn, trials, convention):
+    for chunk in _batches(trials):
+        parts = [[c for x in pairs for c in (x.low, x.high)] for pairs, _ in chunk]
+        _, arrays = _stack(parts, (TensorShape(1, 2), TensorShape(2, 1)) * len(chunk[0][0]))
+        args = [{LOW: low, HIGH: high} for low, high in zip(arrays[::2], arrays[1::2])]
+        out = fn(*args, _columns([w for _, w in chunk], 3), convention)
+        yield from zip(out[LOW], out[HIGH])
+
+
+@pytest.mark.parametrize("conv", ChainConvention.all_conventions(), ids=lambda c: c.label())
+@pytest.mark.parametrize("weights", ["canonical", "random_zero_sum"])
+@pytest.mark.parametrize("fn, written, arity", [(_cyclic, _dict_cyclic, 3), (_identity18, _dict_identity18, 5)],
+                         ids=["cyclic16", "identity18"])
+def test_ternary_tables_sum_in_the_written_order(fn, written, arity, weights, conv):
+    # 40 trials run as more than one batch; equal bytes pin the summation order without freezing digits
+    draw = {"canonical": lambda seed: TernaryWeights.canonical(), "random_zero_sum": TernaryWeights.random_zero_sum}
+    trials = [([random_graded_pair(3, 10 * seed + i) for i in range(arity)], draw[weights](seed)) for seed in range(40)]
+    for (res, _), (low, high) in zip(_evaluate(fn, trials, conv), _dict_evaluate(written, trials, conv), strict=True):
+        assert res.low.data.tobytes() == low.tobytes()
+        assert res.high.data.tobytes() == high.tobytes()

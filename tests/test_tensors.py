@@ -1,3 +1,4 @@
+import functools
 import itertools
 import string
 from dataclasses import astuple
@@ -242,6 +243,31 @@ def test_apply_diagram_matches_single_einsum():
         out = apply_diagram(d, ops)
         assert out.shape == d.output_shape
         assert np.allclose(out.data, _single_einsum(d, ops), rtol=1e-12, atol=1e-12), d.to_json()
+
+
+def _outer_then_traces(diagram, ops):
+    """apply_diagram's definition with no einsum: the full tensor product, then one trace per matched pair."""
+    full = functools.reduce(tensor_product, ops)
+    # the full product's remaining slots, each as (operand, position), in its slot order
+    uppers = [(i, k) for i, s in enumerate(diagram.operand_shapes) for k in range(s.upper)]
+    lowers = [(i, k) for i, s in enumerate(diagram.operand_shapes) for k in range(s.lower)]
+    for up_op, up_pos, low_op, low_pos in diagram.matching:
+        full = contract(full, uppers.index((up_op, up_pos)), lowers.index((low_op, low_pos)))
+        uppers.remove((up_op, up_pos))
+        lowers.remove((low_op, low_pos))
+    return full
+
+
+def test_apply_diagram_matches_outer_product_and_traces():
+    # an L0 oracle sharing no code with the einsum plan: every labelled diagram of four families
+    families = ([MAT, MAT], [HIGH, HIGH, LOW], [LOW, LOW, HIGH], [TensorShape(2, 2)] * 2)
+    cases = 0
+    for d, ops in _diagrams_with_operands(families, (1, 2, 3)):
+        want = _outer_then_traces(d, ops)
+        assert want.shape == d.output_shape
+        assert np.allclose(apply_diagram(d, ops).data, want.data, rtol=1e-12, atol=1e-12), d.to_json()
+        cases += 1
+    assert cases == 3654
 
 
 def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
