@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -400,8 +401,8 @@ def _json_text(obj: dict) -> str:
 def _json_value(value, nl: str, tuples: dict) -> str:
     """`value` as indented JSON; `nl` is a newline plus the indent.  A non-str key raises TypeError.
 
-    `tuples` maps (id, nl) of each tuple written so far in this call to (tuple, text), so
-    a tuple shared across the tree is written once per indent; holding the tuple keeps its id unique.
+    `tuples` maps each indent to {id: (tuple, text)} of the tuples written at it so far in this call,
+    so a tuple shared across the tree is written once per indent; holding the tuple keeps its id unique.
     """
     kind = type(value)
     if kind is str:
@@ -414,11 +415,15 @@ def _json_value(value, nl: str, tuples: dict) -> str:
         return "null" if value is None else "true" if value else "false"
     inner = nl + "  "
     if isinstance(value, (list, tuple)) and value:
-        if kind is tuple and (id(value), nl) in tuples:
-            return tuples[id(value), nl][1]
-        text = "[" + inner + ("," + inner).join([_json_value(v, inner, tuples) for v in value]) + nl + "]"
+        if kind is tuple and id(value) in tuples.setdefault(nl, {}):
+            return tuples[nl][id(value)][1]
+        try:  # every item a tuple already written at the inner indent: join their texts with no call per item
+            items = list(map(operator.itemgetter(1), map(tuples[inner].__getitem__, map(id, value))))
+        except KeyError:
+            items = [_json_value(v, inner, tuples) for v in value]
+        text = "[" + inner + ("," + inner).join(items) + nl + "]"
         if kind is tuple:
-            tuples[id(value), nl] = (value, text)
+            tuples[nl][id(value)] = (value, text)
         return text
     if isinstance(value, dict) and value:
         items = [_json_str(k) + ": " + _json_value(v, inner, tuples) for k, v in value.items()]

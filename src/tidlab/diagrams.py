@@ -198,9 +198,14 @@ def _pair_json(row: tuple[int, int, int, int]) -> tuple:
     return ((up_op, UPPER, up_pos), (low_op, LOWER, low_pos))
 
 
-@functools.lru_cache(maxsize=64)
+_last_shapes: tuple = ((), ())  # the last call's (shapes, JSON), matched by identity: no TensorShape is hashed
+
+
 def _shapes_json(shapes: tuple[TensorShape, ...]) -> tuple:
-    return tuple(s.as_tuple() for s in shapes)
+    global _last_shapes
+    if (last := _last_shapes)[0] is not shapes:
+        last = _last_shapes = (shapes, tuple(s.as_tuple() for s in shapes))
+    return last[1]
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,28 @@ def _all_matchings(shapes: tuple[TensorShape, ...], forbid_self: bool) -> Iterat
     yield from rec(0, 0, ())
 
 
+def _smallest_matchings(shapes: tuple[TensorShape, ...], forbid_self: bool) -> Iterator[_Matching]:
+    """The smallest matching of each admissible operand edge-count matrix M, whose M[i][j] edges
+    join operand i's uppers to operand j's lowers.  The cells fill in (i, j) order and each
+    operand's slots in position order, so the rows come out sorted."""
+    k = len(shapes)
+    cells = [(i, j) for i in range(k) for j in range(k) if not (forbid_self and i == j)]
+    used_up, used_low = [0] * k, [0] * k
+
+    def rec(c: int, pairs: _Matching) -> Iterator[_Matching]:
+        if c == len(cells):
+            yield pairs
+            return
+        i, j = cells[c]
+        u, l = used_up[i], used_low[j]
+        for m in range(min(shapes[i].upper - u, shapes[j].lower - l) + 1):
+            used_up[i], used_low[j] = u + m, l + m
+            yield from rec(c + 1, pairs + tuple((i, u + t, j, l + t) for t in range(m)))
+        used_up[i], used_low[j] = u, l
+
+    return rec(0, ())
+
+
 def _connected(n: int, pairs: _Matching) -> bool:
     """True when the edges join all n operands into at most one component."""
     parent = list(range(n))
@@ -290,28 +317,19 @@ def enumerate_diagrams(
     total_low = sum(s.lower for s in shapes)
     out = options.required_output_shape
     chosen: dict[tuple, tuple] = {}  # key -> smallest sort key in the orbit
-    # Slots within an operand permute freely, so under the slot quotient the sorted
-    # operand-level edges fix the orbit and decide connectivity: each distinct edge
-    # multiset is checked and minimised once, and a disconnected one maps to None.
-    slot_orbits: dict[tuple, Optional[tuple]] = {}
-    for pairs in _all_matchings(shapes, options.forbid_self_contraction):
+    # Slots within an operand permute freely, so under the slot quotient the operand
+    # edge-count matrix fixes the orbit: each matrix is met once, as its smallest matching.
+    listing = _smallest_matchings if options.quotient_by_slot_symmetry else _all_matchings
+    for pairs in listing(shapes, options.forbid_self_contraction):
         n = len(pairs)
         if out is not None and (total_up - n, total_low - n) != (out.upper, out.lower):
             continue
-        if options.quotient_by_slot_symmetry:
-            edges = tuple(sorted([(u, l) for u, _, l, _ in pairs]))
-            if edges not in slot_orbits:
-                keep = not options.require_connected or _connected(len(shapes), pairs)
-                slot_orbits[edges] = (
-                    min(tuple(sorted([(p[u], p[l]) for u, l in edges])) for p in op_perms) if keep else None
-                )
-            key = slot_orbits[edges]
-            if key is None:
-                continue
-        elif options.require_connected and not _connected(len(shapes), pairs):
+        if options.require_connected and not _connected(len(shapes), pairs):
             continue
-        elif len(op_perms) == 1:
-            key = pairs  # already sorted, and the identity is the only permutation
+        if len(op_perms) == 1:
+            key = pairs  # each listed matching is its own orbit: the identity is the only permutation
+        elif options.quotient_by_slot_symmetry:
+            key = min(tuple(sorted([(p[u], p[l]) for u, _, l, _ in pairs])) for p in op_perms)
         else:
             key = min(tuple(sorted((p[u], up, p[l], lp) for u, up, l, lp in pairs)) for p in op_perms)
         sort_key = (n, pairs)
@@ -326,8 +344,9 @@ def classify_by_output(
 ) -> dict[TensorShape, int]:
     """Histogram of output shapes, keys sorted for reproducible iteration."""
     histogram: Counter = Counter()
-    for (shapes, n), count in Counter((d.operand_shapes, len(d.matching)) for d in diagrams).items():
-        histogram[_output_shape(shapes, n)] += count
+    # runs of one shapes tuple and pair count, compared by identity first: no TensorShape is hashed per diagram
+    for (shapes, n), run in itertools.groupby(diagrams, lambda d: (d.operand_shapes, len(d.matching))):
+        histogram[_output_shape(shapes, n)] += sum(1 for _ in run)
     return dict(sorted(histogram.items()))
 
 

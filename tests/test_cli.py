@@ -645,12 +645,20 @@ def test_json_text_fails_closed(value, error):
 
 
 def _sharing(t):
-    """Trees holding the one tuple object `t` at two depths, in a list and in a dict."""
+    """Trees holding the one tuple object `t` at two depths, in a list and in a dict; and lists
+    whose items are tuples already written at their indent, all of them or all but one."""
+    u = (t, "u")
     return [
         [t, [t]],
         {"a": t, "b": {"c": t}},
         {"a": [t, {"b": (t, t)}], "c": t},
         (t, [[t]], {"d": t}),
+        [[t, u], [t, u]],
+        [[t, u], [t, (1,)]],
+        [[t], [t, [1]]],
+        [[t], [[t]]],
+        [t, t],
+        [[t, t], [t, t]],
     ]
 
 

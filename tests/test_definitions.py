@@ -230,6 +230,30 @@ def test_every_bracket_word_order_mutant_fails_both_routes(monkeypatch, capsys, 
     assert survivors == {("BRACKET_WORD_ORDER", i, entry) for i, entry in frozen}
 
 
+def _closed_remainder_mutants(table: tuple):
+    """(row index, mutated row) for every one-row change of a (trace, plus, minus) row: another trace
+    letter, the two letters of plus or of minus swapped, or plus and minus swapped."""
+    for i, (trace, plus, minus) in enumerate(table):
+        for other in "ABC".replace(trace, ""):
+            yield i, (other, plus, minus)
+        yield i, (trace, plus[::-1], minus)
+        yield i, (trace, plus, minus[::-1])
+        yield i, (trace, minus, plus)
+
+
+# the frozen survivors (row index, mutated row) of the closed-form sweep; a new one fails it
+CLOSED_REMAINDER_SURVIVORS: set = set()
+
+
+def test_every_closed_remainder_mutant_fails_both_routes(monkeypatch, capsys):
+    mutants = list(_closed_remainder_mutants(tidlab.definitions.CLOSED_REMAINDER_TERMS))
+    assert len(mutants) == 15
+    survivors = _survivors(
+        monkeypatch, capsys, "CLOSED_REMAINDER_TERMS", mutants, "appendix1", "appendix1/numeric", "appendix1/symbolic"
+    )
+    assert survivors == {("CLOSED_REMAINDER_TERMS", i, row) for i, row in CLOSED_REMAINDER_SURVIVORS}
+
+
 class _Trees(dict):
     """An element of the free magma's integer span: tree string -> nonzero coefficient."""
 

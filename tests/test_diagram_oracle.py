@@ -15,9 +15,13 @@ the labelled matchings, and a permutation's fixed matchings have the same
 closed form over its cycles (see `_fixed_matchings`).  The no-self rule,
 connectivity and the output shape depend on the operand-level edges alone.
 
-The oracle counts count matrices and lists no matching of slots, so it
-shares no code or method with `tidlab.diagrams`, which lists matchings and
-takes a minimum over permutations.
+The oracle counts count matrices and lists no matching of slots; it shares
+no code with `tidlab.diagrams`.  Under the slot quotient the enumerator now
+walks count matrices too, and the counts say nothing about which matching
+represents each orbit, though the output bytes depend on it.  So the
+independent route for those listings is `representatives`, a copy of the
+earlier matching loop: it lists every matching of slots and keeps, per
+operand orbit of its edge multiset, the smallest.
 """
 
 import itertools
@@ -101,39 +105,83 @@ def _fixed_matchings(shapes, perm, forbid_self):
             yield edges, ends // math.prod(math.factorial(v) for v in n.values())
 
 
+def _group(shapes, options: EnumOptions) -> list:
+    """The operand permutations the options quotient by: the shape-preserving ones, or the identity."""
+    identity = tuple(range(len(shapes)))
+    if not options.quotient_by_operand_symmetry:
+        return [identity]
+    return [p for p in itertools.permutations(identity) if all(shapes[i] == shapes[p[i]] for i in identity)]
+
+
+def _allowed(shapes, options: EnumOptions, edges) -> bool:
+    """The output shape and connectivity rules, on the operand-level edges alone."""
+    e = len(edges)
+    out = options.required_output_shape
+    total_up = sum(u for u, _ in shapes)
+    total_low = sum(l for _, l in shapes)
+    if out is not None and (total_up - e, total_low - e) != (out.upper, out.lower):
+        return False
+    return not options.require_connected or _connected(len(shapes), edges)
+
+
 def oracle(shapes, options: EnumOptions) -> dict[int, int]:
     """Orbit count per edge count under the options, from count matrices and Burnside's lemma."""
     shapes = [tuple(s) for s in shapes]
-    k = len(shapes)
-    total_up = sum(u for u, _ in shapes)
-    total_low = sum(l for _, l in shapes)
-    out = options.required_output_shape
-
-    def allowed(edges) -> bool:
-        e = len(edges)
-        if out is not None and (total_up - e, total_low - e) != (out.upper, out.lower):
-            return False
-        return not options.require_connected or _connected(k, edges)
-
-    identity = tuple(range(k))
-    group = [identity]
-    if options.quotient_by_operand_symmetry:
-        group = [p for p in itertools.permutations(identity) if all(shapes[i] == shapes[p[i]] for i in identity)]
+    identity = tuple(range(len(shapes)))
+    group = _group(shapes, options)
     forbid_self = options.forbid_self_contraction
     fixed: Counter = Counter()
     if options.quotient_by_slot_symmetry:
         # each operand count matrix M is one object, fixed by the permutations that preserve it
         for edges, _ in _fixed_matchings(shapes, identity, forbid_self):
-            if allowed(edges):
+            if _allowed(shapes, options, edges):
                 m = Counter(edges)
                 fixed[len(edges)] += sum(Counter((p[i], p[j]) for i, j in edges) == m for p in group)
     else:
         for perm in group:
             for edges, count in _fixed_matchings(shapes, perm, forbid_self):
-                if allowed(edges):
+                if _allowed(shapes, options, edges):
                     fixed[len(edges)] += count
     assert all(v % len(group) == 0 for v in fixed.values()), "Burnside: the fixed points must average to an integer"
     return {e: v // len(group) for e, v in sorted(fixed.items())}
+
+
+def _matchings(shapes):
+    """Every labelled matching, self-contractions included, as sorted (up_op, up_pos, low_op, low_pos) rows."""
+    uppers = [(i, p) for i, (u, _) in enumerate(shapes) for p in range(u)]
+    lowers = [(i, p) for i, (_, l) in enumerate(shapes) for p in range(l)]
+
+    def rec(k, free, rows):
+        if k == len(uppers):
+            yield rows
+            return
+        yield from rec(k + 1, free, rows)
+        for low in free:
+            yield from rec(k + 1, free - {low}, rows + ((*uppers[k], *low),))
+
+    return rec(0, frozenset(lowers), ())
+
+
+def representatives(shapes, options: EnumOptions, matchings: list) -> list:
+    """The slot-quotient listing by the matching route, the loop the enumerator ran before it walked count matrices.
+
+    Each allowed matching of `matchings` (all of `_matchings(shapes)`) is keyed
+    by the minimum, over the options' operand permutations, of its sorted
+    operand edges; the smallest (len, matching) per key is kept, and the kept
+    matchings are returned in that order.
+    """
+    assert options.quotient_by_slot_symmetry
+    shapes = [tuple(s) for s in shapes]
+    group = _group(shapes, options)
+    chosen = {}
+    for rows in matchings:
+        edges = [(u, l) for u, _, l, _ in rows]
+        if options.forbid_self_contraction and any(u == l for u, l in edges):
+            continue
+        if _allowed(shapes, options, edges):
+            key = min(tuple(sorted((p[u], p[l]) for u, l in edges)) for p in group)
+            chosen[key] = min(chosen.get(key, (len(rows), rows)), (len(rows), rows))
+    return [rows for _, rows in sorted(chosen.values())]
 
 
 def oracle_by_output(shapes, options: EnumOptions) -> dict[TensorShape, int]:
@@ -143,26 +191,57 @@ def oracle_by_output(shapes, options: EnumOptions) -> dict[TensorShape, int]:
 
 
 ALL_OPTIONS = [EnumOptions(*bits) for bits in itertools.product((False, True), repeat=4)]
+SLOT_OPTIONS = [options for options in ALL_OPTIONS if options.quotient_by_slot_symmetry]
 
 shape_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3)
 
 
+def _drawn_out(shapes, contracted, skew) -> TensorShape:
+    total_up = sum(u for u, _ in shapes)
+    total_low = sum(l for _, l in shapes)
+    e = min(contracted, total_up, total_low)
+    return TensorShape(total_up - e, total_low - e + skew)
+
+
+draws = dict(shapes=shape_lists, contracted=st.integers(0, 6), skew=st.sampled_from([0, 0, 1]))
+
+
 @settings(max_examples=100, deadline=None)
-@given(shapes=shape_lists, pick_out=st.booleans(), contracted=st.integers(0, 6), skew=st.sampled_from([0, 0, 1]))
+@given(pick_out=st.booleans(), **draws)
 def test_counts_and_histogram_match_the_enumerator(shapes, pick_out, contracted, skew):
     tensor_shapes = [TensorShape(u, l) for u, l in shapes]
-    out = None
-    if pick_out:
-        total_up = sum(u for u, _ in shapes)
-        total_low = sum(l for _, l in shapes)
-        e = min(contracted, total_up, total_low)
-        out = TensorShape(total_up - e, total_low - e + skew)
+    out = _drawn_out(shapes, contracted, skew) if pick_out else None
     for options in ALL_OPTIONS:
         options = replace(options, required_output_shape=out)
         diagrams = enumerate_diagrams(tensor_shapes, options)
         want = oracle_by_output(shapes, options)
         assert len(diagrams) == sum(want.values()), (shapes, options)
         assert classify_by_output(diagrams) == want, (shapes, options)
+
+
+def _assert_representatives(shapes, out: TensorShape):
+    matchings = list(_matchings(shapes))
+    tensor_shapes = [TensorShape(u, l) for u, l in shapes]
+    for options in SLOT_OPTIONS:
+        for required in (None, out):
+            options = replace(options, required_output_shape=required)
+            listed = [d.matching for d in enumerate_diagrams(tensor_shapes, options)]
+            assert listed == representatives(shapes, options, matchings), (shapes, options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**draws)
+def test_slot_quotient_lists_the_matching_routes_representatives(shapes, contracted, skew):
+    _assert_representatives(shapes, _drawn_out(shapes, contracted, skew))
+
+
+@pytest.mark.parametrize(
+    "shapes, out",
+    [(CUBE, (2, 2)), (HIGH_FAMILY, (2, 1)), (((1, 2), (1, 2), (2, 1)), (1, 2))],
+    ids=["cube", "high", "low"],
+)
+def test_slot_quotient_representatives_of_the_reference_families(shapes, out):
+    _assert_representatives(shapes, TensorShape(*out))
 
 
 def test_labelled_cube_histogram():
