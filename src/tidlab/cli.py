@@ -29,14 +29,14 @@ from .diagrams import EnumOptions, TensorShape, classify_by_output, enumerate_di
 SCHEMA = "tidlab/1"
 WEIGHT_MODES = ("canonical", "random-constrained")
 MODES = ("numeric", "symbolic", "both")
+_PHI4_DRAWS = 5  # PRODUCT_FAMILY draws per seed
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Every setting of one verification run.
 
-    `weights` is a mode from WEIGHT_MODES or an explicit (a, b, g) triple;
-    `params` are the jacobi row's product coefficients.
+    `weights` is a mode from WEIGHT_MODES or an explicit (a, b, g) triple.
     """
 
     dim: int = 3
@@ -173,7 +173,7 @@ def _phi4_numeric(cfg: RunConfig) -> Iterator[tuple]:
     from .matrixops import _alternating, _evaluate
 
     trials = ((mats, _rand_params(seed * 1000 + k)) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
-              for k in range(5))
+              for k in range(_PHI4_DRAWS))
     return _evaluate(_alternating, trials)
 
 
@@ -251,15 +251,7 @@ def _json_residual(r: float) -> Optional[float]:
     return r if math.isfinite(r) else None
 
 
-def _cplx(d: dict) -> dict:
-    return {k: [v.real, v.imag] for k, v in d.items()}
-
-
-def _ternary_params(cfg: RunConfig) -> dict:
-    return {"dim": cfg.dim, "weights": cfg.weights_name(), "convention": cfg.convention.label()}
-
-
-_CONSTRAINED = {"params": "beta=-alpha, delta=-gamma"}
+_CONSTRAINED = (("params", "beta=-alpha, delta=-gamma"),)
 
 
 @dataclass(frozen=True)
@@ -269,14 +261,16 @@ class Check:
     `body(cfg)` of a numeric row returns the (residual, operands) trials of
     `cfg.seeds` in seed order, evaluated in batches of trials, for
     `worst_residual`; of a symbolic row, (passed, digest).
-    `params` gives the row's report params.
+    `reads` names the settings the body reads; the report params show
+    them, then the fixed `notes`.
     """
 
     name: str
     suites: tuple[str, ...]
     kind: str  # "numeric" or "symbolic"
     body: Callable[[RunConfig], object]
-    params: Callable[[RunConfig], dict]
+    reads: tuple[str, ...] = ()
+    notes: tuple[tuple, ...] = ()
 
     def selected(self, suite: str, mode: str) -> bool:
         # the appendix2 suite is exact by nature and runs in every mode
@@ -297,26 +291,27 @@ class Check:
         else:
             passed, digest = out
         elapsed = time.perf_counter() - start
-        return CheckReport(self.name, self.params(cfg), passed, residual, digest, elapsed)
+        shown = {"dim": cfg.dim, "weights": cfg.weights_name(), "convention": cfg.convention.label()}
+        params = {}
+        for s in self.reads:  # params are shown as alpha..delta
+            params |= {k: [v.real, v.imag] for k, v in cfg.params.as_dict().items()} if s == "params" else {s: shown[s]}
+        return CheckReport(self.name, params | dict(self.notes), passed, residual, digest, elapsed)
 
 
 CHECKS = (
-    Check("jacobi/numeric", ("jacobi",), "numeric", _jacobi_numeric,
-          lambda cfg: {"dim": cfg.dim, **_cplx(cfg.params.as_dict())}),
-    Check("identity6/numeric", ("identity6",), "numeric", _identity6_numeric, lambda cfg: {"dim": cfg.dim}),
-    Check("identity6/symbolic", ("identity6",), "symbolic", _identity6_symbolic, lambda cfg: _CONSTRAINED),
-    Check("phi4/numeric", ("phi4",), "numeric", _phi4_numeric,
-          lambda cfg: {"dim": cfg.dim, "param_draws": 5}),
-    Check("phi4/symbolic", ("phi4",), "symbolic", _phi4_symbolic, lambda cfg: _CONSTRAINED),
-    Check("cyclic16/numeric", ("cyclic16",), "numeric", _cyclic16_numeric, _ternary_params),
-    Check("cyclic16/symbolic", ("cyclic16",), "symbolic", _cyclic16_symbolic, lambda cfg: {}),
-    Check("identity18/numeric", ("identity18",), "numeric", _identity18_numeric, _ternary_params),
-    Check("appendix1/numeric", ("appendix1",), "numeric", _appendix1_numeric,
-          lambda cfg: {"dim": cfg.dim, "params": "(1,-1,1,-1)"}),
-    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic, lambda cfg: {}),
+    Check("jacobi/numeric", ("jacobi",), "numeric", _jacobi_numeric, ("dim", "params")),
+    Check("identity6/numeric", ("identity6",), "numeric", _identity6_numeric, ("dim",)),
+    Check("identity6/symbolic", ("identity6",), "symbolic", _identity6_symbolic, notes=_CONSTRAINED),
+    Check("phi4/numeric", ("phi4",), "numeric", _phi4_numeric, ("dim",), (("param_draws", _PHI4_DRAWS),)),
+    Check("phi4/symbolic", ("phi4",), "symbolic", _phi4_symbolic, notes=_CONSTRAINED),
+    Check("cyclic16/numeric", ("cyclic16",), "numeric", _cyclic16_numeric, ("dim", "weights", "convention")),
+    Check("cyclic16/symbolic", ("cyclic16",), "symbolic", _cyclic16_symbolic),
+    Check("identity18/numeric", ("identity18",), "numeric", _identity18_numeric, ("dim", "weights", "convention")),
+    Check("appendix1/numeric", ("appendix1",), "numeric", _appendix1_numeric, ("dim",), (("params", "(1,-1,1,-1)"),)),
+    Check("appendix1/symbolic", ("appendix1",), "symbolic", _appendix1_symbolic),
     # the word statistics back both identity18's symbolic mode and the appendix2 suite
     Check("appendix2/exact", ("identity18", "appendix2"), "symbolic", _appendix2_exact,
-          lambda cfg: {"weights": "(1,w,w^2)"}),
+          notes=(("weights", "(1,w,w^2)"),)),
 )
 SUITES = (*dict.fromkeys(suite for c in CHECKS for suite in c.suites), "all")
 
@@ -450,14 +445,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
         if not selected:
             raise ValueError(f"suite {args.suite!r} has no {cfg.mode} checks")
-        # only the jacobi row reads the product coefficients; any other row would ignore them
-        if cfg.params != Phi2Params() and not any("jacobi" in c.suites for c in selected):
-            raise ValueError(f"--alpha..--delta are read by the jacobi row only; {args.suite!r} {cfg.mode} has none")
-        # likewise only the numeric ternary rows, whose params report them, read the weights
-        if cfg.weights != RunConfig.weights and not any(c.params is _ternary_params for c in selected):
-            raise ValueError(
-                f"--weights is read by the cyclic16 and identity18 numeric rows only; {args.suite!r} {cfg.mode} has none"
-            )
+        # a moved setting that no selected row reads would be ignored
+        for s, flag, moved in (("params", "--alpha..--delta", cfg.params != Phi2Params()),
+                               ("weights", "--weights", cfg.weights != RunConfig.weights),
+                               ("convention", "--convention", args.convention is not None)):
+            if moved and not any(s in c.reads for c in selected):
+                rows = " and ".join(c.name for c in CHECKS if s in c.reads)
+                raise ValueError(f"{flag} is read only by {rows}, not by suite {args.suite!r} with --mode {cfg.mode}")
         # last: auto-search is slow and runs on the validated grid
         cfg = replace(cfg, convention=load_convention(args.convention, cfg))
     except (ValueError, OSError) as exc:

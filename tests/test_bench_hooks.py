@@ -1,16 +1,20 @@
-"""The benchmark's trace hooks still fit the package.
+"""The benchmark's trace hooks and checker still fit the package.
 
 `bench/spans.py` patches the arithmetic methods it times on the class that
 defines them, so a refactor that moves one to a base class or renames it
-breaks a traced benchmark run; this test catches that in the unit suite.
+breaks a traced benchmark run; and `bench/workloads.py` checks each command
+against frozen check names, digests, counts and controls.  These tests catch
+a break of either in the unit suite.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import tidlab.cli
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _load_spans():
@@ -44,3 +48,14 @@ def test_span_recorder_installs_runs_and_restores(capsys):
 def test_span_recorder_traces_the_exact_route(capsys):
     # a words refactor that breaks a traced exact run fails here, not only in the benchmark
     _traced_run(capsys, ["verify", "all", "--mode", "symbolic", "--json"])
+
+
+def test_every_workload_passes_the_benchmark_checker(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    Outcomes = importlib.import_module("checker").Outcomes
+    for name, build in workloads.BUILDERS.items():
+        workload, out, first = build(0, tmp_path), Outcomes(), {}
+        workloads.run_pass(workload.warmup, out, first)
+        workloads.run_pass(workload.commands, out, first)
+        assert out.fail_frac() == 0.0, (name, out.failures)

@@ -141,6 +141,36 @@ def test_verify_weights_need_a_numeric_ternary_row(capsys, argv, code):
         assert not checks["identity18/numeric"]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["phi4"], 2),
+        (["appendix2"], 2),
+        (["identity18", "--mode", "symbolic"], 2),
+        (["all", "--mode", "symbolic", "--convention", "auto-search"], 2),
+        # cyclic16/numeric reads the convention, and pppx keeps the cyclic identity
+        (["cyclic16"], 0),
+    ],
+)
+def test_verify_convention_needs_a_numeric_ternary_row(tmp_path, capsys, monkeypatch, argv, code):
+    # only cyclic16/numeric and identity18/numeric read --convention; any other row would ignore it and pass
+    calls = []
+    monkeypatch.setattr(tidlab.graded, "convention_search", lambda **kwargs: calls.append(kwargs))
+    pppx = ChainConvention(low_r2l=CROSSED)  # rejected by convention-search
+    if "--convention" not in argv:
+        path = tmp_path / "convention.json"
+        path.write_text(json.dumps({"schema": "tidlab/1", "pairings": pppx.to_json()}))
+        argv = [*argv, "--convention", str(path)]
+    got, out, err = run(capsys, ["verify", *argv, "--seeds", "1", "--json"])
+    assert got == code
+    assert calls == []  # an unread auto-search never starts
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and "--convention" in err
+    else:
+        assert json.loads(out)["config"]["convention"] == pppx.to_json()
+
+
 def test_verify_cyclic16_unbalanced_weights_fail(capsys):
     code, out, _ = run(
         capsys,
@@ -403,6 +433,29 @@ def test_check_table_selection(suite, mode):
     assert sorted(c.name for c in CHECKS if c.selected(suite, mode)) == _SELECTED[suite, mode]
 
 
+# each run setting a row can read, moved off its default
+_MOVED = {
+    "params": Phi2Params(1, 1, 0, 0),
+    "weights": "random-constrained",
+    "convention": ChainConvention(high_l2r=CROSSED),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
+def test_reads_names_every_setting_the_row_reads(check):
+    """A setting the row does not list leaves its report alone; a listed one moves its residual."""
+    assert set(check.reads) <= {"dim", *_MOVED}
+    cfg = RunConfig(dim=2, seeds=(1, 2))
+    outcome = lambda r: (r.passed, r.residual, r.digest, r.params)
+    base = check.run(cfg)
+    for setting, value in _MOVED.items():
+        moved = check.run(replace(cfg, **{setting: value}))
+        if setting in check.reads:
+            assert moved.residual != base.residual, setting
+        else:
+            assert outcome(moved) == outcome(base), setting
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -571,14 +624,18 @@ def test_malformed_number_names_its_source(capsys, monkeypatch, argv, env, sourc
 
 _SEEDS = tuple(range(1, 41))
 _CROSSED = ChainConvention(high_r2l=CROSSED, low_l2r=CROSSED)
+# each setting a row can read: (settings, id suffix) variants run for every row that reads it
+_READ_VARIANTS = {
+    "weights": [({"dim": dim, "weights": "random-constrained"}, f"d{dim}-random") for dim in (2, 3)],
+    "convention": [({"dim": 3, "convention": _CROSSED}, f"d3-{_CROSSED.label()}")],
+    "params": [({"dim": 3, "params": Phi2Params(0.5, -0.5, 1j, -2j)}, "d3-params")],
+}
 _BATCH_CASES = [
     *(pytest.param(c.name, {"dim": dim}, id=f"{c.name}-d{dim}")
       for c in CHECKS if c.kind == "numeric" for dim in (2, 3)),
-    *(pytest.param(name, {"dim": dim, "weights": "random-constrained"}, id=f"{name}-d{dim}-random")
-      for name in ("cyclic16/numeric", "identity18/numeric") for dim in (2, 3)),
-    *(pytest.param(name, {"dim": 3, "convention": _CROSSED}, id=f"{name}-d3-{_CROSSED.label()}")
-      for name in ("cyclic16/numeric", "identity18/numeric")),
-    pytest.param("jacobi/numeric", {"dim": 3, "params": Phi2Params(0.5, -0.5, 1j, -2j)}, id="jacobi-d3-params"),
+    *(pytest.param(c.name, settings, id=f"{c.name}-{suffix}")
+      for c in CHECKS if c.kind == "numeric" for setting in c.reads
+      for settings, suffix in _READ_VARIANTS.get(setting, ())),
 ]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import tidlab.definitions
-from tidlab.cli import _rand_params, _unit, main
+from tidlab.cli import CHECKS, _rand_params, _unit, main
 from tidlab.definitions import OMEGA, Phi2Params
 from tidlab.graded import TernaryWeights
 from tidlab.matrixops import closed_remainder, identity6_residual, jacobi_cyclic_residual, phi3, phi4
@@ -134,18 +134,56 @@ MUTATIONS = [
 assert {m[0] for m in MUTATIONS} == {n for n in tidlab.definitions.__all__ if n.endswith("_TERMS")}
 
 
+# one named negative control per CHECKS row: row -> (control, suite, extra verify arguments, table mutation, digest)
+# the mutation replaces a table's first term; a symbolic row's digest must contain the named text
+CONTROLS = {
+    **{row: (f"{name} first term {term!r}", suite, (), (name, term), detail)
+       for name, term, suite, numeric, exact, detail in MUTATIONS for row in (numeric, exact)},
+    "jacobi/numeric": ("symmetric product", "jacobi", ("--alpha", "1", "--beta", "1"), (), None),
+}
+# every row of the check table has a control, checked when the tests are collected
+assert set(CONTROLS) == {c.name for c in CHECKS}
+_RUNS: dict = {}
+
+
+def _run_once(suite: str, capsys, extra: tuple = (), mutation: tuple = ()) -> dict:
+    """`_verify(suite, capsys, *extra)` with table `mutation[0]`'s first term replaced by `mutation[1]`.
+
+    Each distinct run is made once per session, so the per-row controls reuse the MUTATIONS runs.
+    """
+    key = (suite, extra, mutation)
+    if key not in _RUNS:
+        with pytest.MonkeyPatch.context() as patch:
+            if mutation:
+                name, term = mutation
+                patch.setattr(tidlab.definitions, name, (term,) + getattr(tidlab.definitions, name)[1:])
+            _RUNS[key] = _verify(suite, capsys, *extra)
+    return _RUNS[key]
+
+
 @pytest.mark.parametrize("name, term, suite, numeric, exact, detail", MUTATIONS)
-def test_one_mutated_definition_fails_both_routes(monkeypatch, capsys, name, term, suite, numeric, exact, detail):
+def test_one_mutated_definition_fails_both_routes(capsys, name, term, suite, numeric, exact, detail):
     intact = _verify(suite, capsys)
     assert intact[numeric]["pass"] and intact[exact]["pass"]
 
     # the first term replaced: the term count is kept, so only the algebra can fail
-    monkeypatch.setattr(tidlab.definitions, name, (term,) + getattr(tidlab.definitions, name)[1:])
-    checks = _verify(suite, capsys)
+    checks = _run_once(suite, capsys, mutation=(name, term))
     assert not checks[numeric]["pass"]
     assert checks[numeric]["residual"] > 0.1
     assert not checks[exact]["pass"]
     assert detail in checks[exact]["digest"]
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
+def test_every_check_fails_its_named_control(capsys, check):
+    control, suite, extra, mutation, detail = CONTROLS[check.name]
+    report = _run_once(suite, capsys, extra, mutation)[check.name]
+    assert not report["pass"], control
+    if check.kind == "numeric":
+        # a non-finite residual is written as null; 0.1 is 9 decades past the tolerance
+        assert report["residual"] is not None and report["residual"] >= 0.1, control
+    else:
+        assert detail in report["digest"], control
 
 
 def _single_site_mutants(table: tuple):
