@@ -213,11 +213,13 @@ def _three_commutator(x, y, z, weights, convention):
     for c, kind in enumerate((LOW, HIGH)):
         ends = [arg[c] for arg in args]
         mids = [_fold_middle(arg[1 - c], _WORD_PARTS[kind], pairings[kind]) for arg in args]
-        terms = [
-            _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * getattr(weights, w)
-            for (i, j, k), w in definitions.BRACKET_WORD_ORDER
-        ]
-        out[c] = sum(terms[1:], terms[0])
+        for t, ((i, j, k), w) in enumerate(definitions.BRACKET_WORD_ORDER):
+            term = _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]])
+            term *= getattr(weights, w)
+            if t:
+                out[c] += term
+            else:
+                out[c] = term
     return out
 
 

@@ -6,12 +6,14 @@ the upper axes first; the flat lexicographic order of that array is the
 serialization order.  All values are immutable after construction.
 
 The numeric checks run on raw arrays with one extra leading batch axis, one
-trial per row; each public function on tensors is a batch of one.
+trial per row; each public function on tensors is a batch of one.  A diagram
+of one or two operands is one einsum, a larger one batched matmuls over views.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -193,14 +195,20 @@ def contract(a: DenseTensor, upper_slot: int, lower_slot: int) -> DenseTensor:
 
 @lru_cache(maxsize=None)
 def _einsum_plan(diagram: ContractionDiagram):
-    """Compile a diagram once into pairwise einsum steps with integer subscripts.
+    """Compile a diagram once into pairwise steps with integer einsum subscripts.
 
-    Returns (steps, final_subs, out_sub).  Each step (i, j, sub_i, sub_j,
-    sub_kept) contracts working operands i < j and appends the result,
-    keeping only the labels that a remaining operand or the output still
-    needs.  The last call contracts the remaining one or two operands
-    straight into the output order, so a one- or two-operand diagram is a
-    single einsum over the diagram's own subscripts.
+    Returns (steps, final_subs, out_sub).  A diagram of one or two operands
+    has no steps and is one einsum over its own subscripts, `final_subs`.  A
+    larger one is joined pair by pair down to one operand: each step (l, r,
+    sub_l, sub_r, kept, form) replaces working operands l and r by their
+    product labelled `kept`, the labels of l, then of r, that a remaining
+    operand or the output still needs.  With form (perm_l, perm_r, s) it is
+    the batched matmul (n, d^kl, d^s) @ (n, d^s, d^kr) over the s shared
+    labels, after perms that group the left operand (kept, shared) and the
+    right one (shared, kept); a perm is None where the operand is grouped so
+    already.  An operand that contracts with itself makes the step one einsum
+    (form None).  `final_subs` is () if the last product is in output order,
+    else its labels, which one einsum transposes.
 
     Every slot ranges over the same dimension d, so a step spanning k labels
     costs d^k at every d: greedily joining the pair with the fewest labels in
@@ -225,16 +233,42 @@ def _einsum_plan(diagram: ContractionDiagram):
     out_sub = tuple(free[UPPER] + free[LOWER])
 
     steps = []
-    while len(subs) > 2:
+    while len(subs) > 1 and len(diagram.operand_shapes) > 2:
         i, j = min(
             itertools.combinations(range(len(subs)), 2),
             key=lambda ij: len(set(subs[ij[0]] + subs[ij[1]])),
         )
-        needed = set(out_sub).union(*(s for k, s in enumerate(subs) if k not in (i, j)))
-        kept = tuple(dict.fromkeys(x for x in subs[i] + subs[j] if x in needed))
-        steps.append((i, j, subs[i], subs[j], kept))
-        subs = [s for k, s in enumerate(subs) if k not in (i, j)] + [kept]
-    return tuple(steps), tuple(subs), out_sub
+        rest = [s for k, s in enumerate(subs) if k not in (i, j)]
+        step = _step(i, j, subs[i], subs[j], set(out_sub).union(*rest), None if rest else out_sub)
+        steps.append(step)
+        subs = rest + [step[4]]
+    return tuple(steps), (() if steps and subs == [out_sub] else tuple(subs)), out_sub
+
+
+def _step(i: int, j: int, sub_i: tuple, sub_j: tuple, needed: set, out_sub) -> tuple:
+    """The `_einsum_plan` step joining working operands i and j: of i @ j and
+    j @ i, the one with fewer perms, counting on the last step (`out_sub`
+    given) a product out of output order.  The shared labels keep the right
+    operand's order if it leads with them, else the left's."""
+    best = None
+    for l, r, sub_l, sub_r in ((i, j, sub_i, sub_j), (j, i, sub_j, sub_i)):
+        kl = tuple(x for x in sub_l if x in needed)
+        kr = tuple(x for x in sub_r if x in needed)
+        if len(set(sub_l)) < len(sub_l) or len(set(sub_r)) < len(sub_r):
+            return l, r, sub_l, sub_r, kl + kr, None
+        shared = tuple(x for x in sub_l if x not in needed)
+        if set(sub_r[: len(shared)]) == set(shared):
+            shared = sub_r[: len(shared)]
+        form = (_perm(sub_l, kl + shared), _perm(sub_r, shared + kr), len(shared))
+        cost = 2 - form[:2].count(None) + (out_sub is not None and kl + kr != out_sub)
+        if best is None or cost < best[0]:
+            best = cost, (l, r, sub_l, sub_r, kl + kr, form)
+    return best[1]
+
+
+def _perm(sub: tuple, order: tuple):
+    """The axes of a batch labelled `sub` read in label order `order`; None if they are."""
+    return None if sub == order else (0,) + tuple(1 + sub.index(x) for x in order)
 
 
 # the einsum label of the leading trial axis: numpy takes labels below 52, and
@@ -246,21 +280,28 @@ def _contract(diagram: ContractionDiagram, arrays: list[np.ndarray]) -> np.ndarr
     """`apply_diagram` on batches: each array is (n, dim, ...), one trial per row.
 
     For the product and chain diagrams each row is bit-identical to a batch
-    of one; numpy may order another diagram's sums differently in a batch.
+    of one: a two-operand einsum and a batched matmul both compute row by
+    row.  numpy may order another diagram's sums differently in a batch.
     """
     steps, final_subs, out_sub = _einsum_plan(diagram)
     n = _BATCH_LABEL
     arrays = list(arrays)
-    for i, j, sub_i, sub_j, sub_kept in steps:
-        b = arrays.pop(j)
-        a = arrays.pop(i)
-        arrays.append(np.einsum(a, n + sub_i, b, n + sub_j, n + sub_kept))
-    args: list = []
-    for a, s in zip(arrays, final_subs):
-        args.append(a)
-        args.append(n + s)
-    args.append(n + out_sub)
-    return np.einsum(*args)
+    for l, r, sub_l, sub_r, kept, form in steps:
+        b = arrays.pop(r)
+        a = arrays.pop(l - (l > r))  # l moved down if it was after r
+        if form is None:
+            arrays.append(np.einsum(a, n + sub_l, b, n + sub_r, n + kept))
+            continue
+        perm_l, perm_r, s = form
+        a = a if perm_l is None else a.transpose(perm_l)
+        b = b if perm_r is None else b.transpose(perm_r)
+        inner = math.prod(b.shape[1 : 1 + s])
+        product = a.reshape(len(a), -1, inner) @ b.reshape(len(b), inner, -1)
+        arrays.append(product.reshape(a.shape[: a.ndim - s] + b.shape[1 + s :]))
+    if not final_subs:
+        return arrays[0]
+    args = [x for a, s in zip(arrays, final_subs) for x in (a, n + s)]
+    return np.einsum(*args, n + out_sub)
 
 
 def apply_diagram(

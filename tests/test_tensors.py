@@ -6,13 +6,16 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from tidlab.definitions import CROSSED, PARALLEL
 from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotRef, enumerate_diagrams
-from tidlab.graded import _CHAINS, TernaryWeights, random_graded_pair, three_commutator
+from tidlab.graded import _CHAINS, _WORD_PARTS, TernaryWeights, _fold_middle, random_graded_pair, three_commutator
 from tidlab.matrixops import _PHI2_DIAGRAMS, _evaluate, _jacobi, Phi2Params, phi2
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
+    _contract,
     _einsum_plan,
+    _step,
     apply_diagram,
     contract,
     grading,
@@ -276,12 +279,40 @@ def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
 
 
 def test_chain_plans_span_at_most_four_labels():
+    # each chain is two batched matmuls that reorder no operand and end in output order
     for chain in _CHAINS.values():
         steps, final_subs, out_sub = _einsum_plan(chain)
-        spans = [set(sub_i + sub_j + kept) for _, _, sub_i, sub_j, kept in steps]
-        spans.append(set(itertools.chain(out_sub, *final_subs)))
-        assert len(steps) == 1
+        spans = [set(sub_l + sub_r + kept) for _, _, sub_l, sub_r, kept, _ in steps]
+        assert len(steps) == 2
+        assert [form[:2] for *_, form in steps] == [(None, None)] * 2
+        assert final_subs == () and steps[-1][4] == out_sub
         assert max(map(len, spans)) <= 4
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+def test_chain_batch_rows_equal_batches_of_one(dim):
+    rng = np.random.default_rng(dim)
+    draw = lambda: rng.uniform(-1, 1, (7,) + (dim,) * 3) + 1j * rng.uniform(-1, 1, (7,) + (dim,) * 3)
+    for kind, chain in _CHAINS.items():
+        for pairings in ((PARALLEL, PARALLEL), (CROSSED, CROSSED)):
+            first, mid, last = draw(), _fold_middle(draw(), _WORD_PARTS[kind], pairings), draw()
+            batch = _contract(chain, [first, mid, last])
+            for row in range(7):
+                # rows sliced as views and as a fresh copy: the bytes must not depend on the buffer
+                one = _contract(chain, [first[row : row + 1], mid[row : row + 1], last[row : row + 1].copy()])
+                assert one.tobytes() == batch[row : row + 1].tobytes(), (kind, pairings, row)
+
+
+def test_matmul_steps_on_scalars_self_contractions_and_dim_1():
+    # three-operand diagrams with (0,0) operands or a self-contracted operand, against the no-einsum oracle
+    scalar = TensorShape(0, 0)
+    families = ([scalar, MAT, scalar], [scalar, scalar, HIGH], [MAT, MAT, MAT], [TensorShape(2, 2), MAT, MAT])
+    forms = set()
+    for d, ops in _diagrams_with_operands(families, (1, 2, 3)):
+        forms.update(form is None for *_, form in _einsum_plan(d)[0])
+        want = _outer_then_traces(d, ops)
+        assert np.allclose(apply_diagram(d, ops).data, want.data, rtol=1e-12, atol=1e-12), d.to_json()
+    assert forms == {True, False}
 
 
 def _slotref_plan(diagram):
@@ -304,16 +335,15 @@ def _slotref_plan(diagram):
         subs.append(tuple(sub))
     out_sub = tuple(free[UPPER] + free[LOWER])
     steps = []
-    while len(subs) > 2:
+    while len(subs) > 1 and len(diagram.operand_shapes) > 2:
         i, j = min(
             itertools.combinations(range(len(subs)), 2),
             key=lambda ij: len(set(subs[ij[0]] + subs[ij[1]])),
         )
-        needed = set(out_sub).union(*(s for k, s in enumerate(subs) if k not in (i, j)))
-        kept = tuple(dict.fromkeys(x for x in subs[i] + subs[j] if x in needed))
-        steps.append((i, j, subs[i], subs[j], kept))
-        subs = [s for k, s in enumerate(subs) if k not in (i, j)] + [kept]
-    return tuple(steps), tuple(subs), out_sub
+        rest = [s for k, s in enumerate(subs) if k not in (i, j)]
+        steps.append(_step(i, j, subs[i], subs[j], set(out_sub).union(*rest), None if rest else out_sub))
+        subs = rest + [steps[-1][4]]
+    return tuple(steps), (() if steps and subs == [out_sub] else tuple(subs)), out_sub
 
 
 def test_plans_label_as_the_sorted_slotref_pairs_did():
