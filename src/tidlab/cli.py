@@ -54,8 +54,9 @@ class RunConfig:
             raise ValueError("seeds must be non-empty")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be non-negative")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        # at dim 1 every (1,1) tensor is a number, so commutators vanish and a pass is no evidence
+        if self.dim < 2:
+            raise ValueError(f"verification needs dim >= 2, got {self.dim}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if isinstance(self.weights, str) and self.weights not in WEIGHT_MODES:

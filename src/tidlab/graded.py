@@ -200,9 +200,12 @@ def identity18_residual(
 
 
 def _fold_middle(t: np.ndarray, swap: tuple[int, ...], pairings: tuple[str, str]) -> np.ndarray:
-    """sigma_l2r(t) + sigma_r2l(t); sigma swaps the doubled-edge slots if crossed."""
+    """sigma_l2r(t) + sigma_r2l(t); sigma swaps the doubled-edge slots if crossed.
+
+    The sum is laid out in C order whatever the strides of its terms, so every
+    chain reshapes it as a view."""
     l2r, r2l = (t.transpose(swap) if p == CROSSED else t for p in pairings)
-    return l2r + r2l
+    return np.add(l2r, r2l, order="C")
 
 
 def _three_commutator(x, y, z, weights, convention):

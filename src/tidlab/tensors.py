@@ -7,7 +7,7 @@ serialization order.  All values are immutable after construction.
 
 The numeric checks run on raw arrays with one extra leading batch axis, one
 trial per row; each public function on tensors is a batch of one.  A diagram
-of one or two operands is one einsum, a larger one batched matmuls over views.
+of one or two operands is one einsum, a larger one pairwise matmuls or einsums.
 """
 
 from __future__ import annotations
@@ -200,15 +200,13 @@ def _einsum_plan(diagram: ContractionDiagram):
     Returns (steps, final_subs, out_sub).  A diagram of one or two operands
     has no steps and is one einsum over its own subscripts, `final_subs`.  A
     larger one is joined pair by pair down to one operand: each step (l, r,
-    sub_l, sub_r, kept, form) replaces working operands l and r by their
-    product labelled `kept`, the labels of l, then of r, that a remaining
-    operand or the output still needs.  With form (perm_l, perm_r, s) it is
-    the batched matmul (n, d^kl, d^s) @ (n, d^s, d^kr) over the s shared
-    labels, after perms that group the left operand (kept, shared) and the
-    right one (shared, kept); a perm is None where the operand is grouped so
-    already.  An operand that contracts with itself makes the step one einsum
-    (form None).  `final_subs` is () if the last product is in output order,
-    else its labels, which one einsum transposes.
+    sub_l, sub_r, kept, s) replaces working operands l and r by their product
+    labelled `kept`, the labels of l, then of r, that a remaining operand or
+    the output still needs.  If l is labelled (kept, shared) and r (shared,
+    kept), the step is the batched matmul (n, d^kl, d^s) @ (n, d^s, d^kr) over
+    views of its s shared labels; else s is None and the step is one einsum.
+    `final_subs` is () if the last product is in output order, else its
+    labels, which one einsum transposes.
 
     Every slot ranges over the same dimension d, so a step spanning k labels
     costs d^k at every d: greedily joining the pair with the fewest labels in
@@ -246,29 +244,19 @@ def _einsum_plan(diagram: ContractionDiagram):
 
 
 def _step(i: int, j: int, sub_i: tuple, sub_j: tuple, needed: set, out_sub) -> tuple:
-    """The `_einsum_plan` step joining working operands i and j: of i @ j and
-    j @ i, the one with fewer perms, counting on the last step (`out_sub`
-    given) a product out of output order.  The shared labels keep the right
-    operand's order if it leads with them, else the left's."""
-    best = None
+    """The `_einsum_plan` step joining working operands i and j: a matmul in
+    the orientation l @ r that groups both operands, preferring on the last
+    step (`out_sub` given) a product in output order; else one einsum i, j."""
+    found = None
     for l, r, sub_l, sub_r in ((i, j, sub_i, sub_j), (j, i, sub_j, sub_i)):
         kl = tuple(x for x in sub_l if x in needed)
         kr = tuple(x for x in sub_r if x in needed)
-        if len(set(sub_l)) < len(sub_l) or len(set(sub_r)) < len(sub_r):
-            return l, r, sub_l, sub_r, kl + kr, None
-        shared = tuple(x for x in sub_l if x not in needed)
-        if set(sub_r[: len(shared)]) == set(shared):
-            shared = sub_r[: len(shared)]
-        form = (_perm(sub_l, kl + shared), _perm(sub_r, shared + kr), len(shared))
-        cost = 2 - form[:2].count(None) + (out_sub is not None and kl + kr != out_sub)
-        if best is None or cost < best[0]:
-            best = cost, (l, r, sub_l, sub_r, kl + kr, form)
-    return best[1]
-
-
-def _perm(sub: tuple, order: tuple):
-    """The axes of a batch labelled `sub` read in label order `order`; None if they are."""
-    return None if sub == order else (0,) + tuple(1 + sub.index(x) for x in order)
+        shared = sub_r[: len(sub_r) - len(kr)]
+        # a label joins at most two slots, so if l ends with r's first labels, r ends with kr
+        if sub_l == kl + shared and (found is None or kl + kr == out_sub):
+            found = l, r, sub_l, sub_r, kl + kr, len(shared)
+    kept = tuple(x for x in sub_i + sub_j if x in needed)
+    return found or (i, j, sub_i, sub_j, kept, None)
 
 
 # the einsum label of the leading trial axis: numpy takes labels below 52, and
@@ -286,15 +274,12 @@ def _contract(diagram: ContractionDiagram, arrays: list[np.ndarray]) -> np.ndarr
     steps, final_subs, out_sub = _einsum_plan(diagram)
     n = _BATCH_LABEL
     arrays = list(arrays)
-    for l, r, sub_l, sub_r, kept, form in steps:
+    for l, r, sub_l, sub_r, kept, s in steps:
         b = arrays.pop(r)
         a = arrays.pop(l - (l > r))  # l moved down if it was after r
-        if form is None:
+        if s is None:
             arrays.append(np.einsum(a, n + sub_l, b, n + sub_r, n + kept))
             continue
-        perm_l, perm_r, s = form
-        a = a if perm_l is None else a.transpose(perm_l)
-        b = b if perm_r is None else b.transpose(perm_r)
         inner = math.prod(b.shape[1 : 1 + s])
         product = a.reshape(len(a), -1, inner) @ b.reshape(len(b), inner, -1)
         arrays.append(product.reshape(a.shape[: a.ndim - s] + b.shape[1 + s :]))

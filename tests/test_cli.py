@@ -359,11 +359,17 @@ def test_convention_search_bad_argument_usage_error(capsys, flag, value):
 
 @pytest.mark.parametrize(
     "argv",
-    [["convention-search", "--dim", "1"], ["verify", "cyclic16", "--dim", "1", "--convention", "auto-search"]],
-    ids=["convention-search", "auto-search"],
+    [
+        ["convention-search", "--dim", "1"],
+        ["verify", "cyclic16", "--dim", "1", "--convention", "auto-search"],
+        ["verify", "identity18", "--mode", "numeric", "--weights=1,2,-3", "--dim", "1"],
+        ["verify", "jacobi", "--dim", "1"],
+    ],
+    ids=["convention-search", "auto-search", "identity18-numeric", "jacobi"],
 )
 def test_convention_search_at_dim_1_usage_error(capsys, argv):
-    # at dim 1 every convention computes the same tensor, so all 16 would survive
+    # at dim 1 every convention computes the same tensor, so all 16 would survive;
+    # and every (1,1) tensor is a number, so a commutator vanishes and a numeric pass shows nothing
     code, out, err = run(capsys, [*argv, "--seeds", "1"])
     assert code == 2
     assert out == ""

@@ -5,7 +5,9 @@ import pytest
 
 from tidlab.graded import (
     _CHAINS,
+    _WORD_PARTS,
     _cyclic,
+    _fold_middle,
     _evaluate,
     _identity18,
     CANONICAL_CONVENTION,
@@ -260,6 +262,14 @@ def test_convention_search_rejects_dim_1():
     # a crossed pairing swaps two axes of length 1, so all 16 conventions agree
     with pytest.raises(ValueError, match="dim >= 2"):
         convention_search(dim=1, seeds=(1,))
+
+
+def test_folded_middles_are_c_contiguous():
+    # a strided middle would be copied by the matmul reshape of each chain it enters
+    t = np.arange(2 * 3**3, dtype=complex).reshape(2, 3, 3, 3)
+    for kind, swap in _WORD_PARTS.items():
+        for pairings in ((PARALLEL, PARALLEL), (PARALLEL, CROSSED), (CROSSED, PARALLEL), (CROSSED, CROSSED)):
+            assert _fold_middle(t, swap, pairings).flags.c_contiguous, (kind, pairings)
 
 
 def test_word_generators_five_symbol():

@@ -279,12 +279,12 @@ def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
 
 
 def test_chain_plans_span_at_most_four_labels():
-    # each chain is two batched matmuls that reorder no operand and end in output order
+    # each chain is two batched matmuls that end in output order
     for chain in _CHAINS.values():
         steps, final_subs, out_sub = _einsum_plan(chain)
         spans = [set(sub_l + sub_r + kept) for _, _, sub_l, sub_r, kept, _ in steps]
         assert len(steps) == 2
-        assert [form[:2] for *_, form in steps] == [(None, None)] * 2
+        assert all(s is not None for *_, s in steps)
         assert final_subs == () and steps[-1][4] == out_sub
         assert max(map(len, spans)) <= 4
 
@@ -309,7 +309,12 @@ def test_matmul_steps_on_scalars_self_contractions_and_dim_1():
     families = ([scalar, MAT, scalar], [scalar, scalar, HIGH], [MAT, MAT, MAT], [TensorShape(2, 2), MAT, MAT])
     forms = set()
     for d, ops in _diagrams_with_operands(families, (1, 2, 3)):
-        forms.update(form is None for *_, form in _einsum_plan(d)[0])
+        for _, _, sub_l, sub_r, kept, s in _einsum_plan(d)[0]:
+            forms.add(s is None)
+            # a matmul step's left operand ends with the s labels its right one starts with
+            if s is not None:
+                assert sub_l[len(sub_l) - s :] == sub_r[:s], d.to_json()
+                assert kept == sub_l[: len(sub_l) - s] + sub_r[s:], d.to_json()
         want = _outer_then_traces(d, ops)
         assert np.allclose(apply_diagram(d, ops).data, want.data, rtol=1e-12, atol=1e-12), d.to_json()
     assert forms == {True, False}
