@@ -129,6 +129,8 @@ def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTen
     for t, name in ((a, "a"), (b, "b"), (c, "c")):
         if t.shape != _MAT:
             raise ValueError(f"{name} must be a (1,1) tensor, got {t.shape}")
+    if not a.dim == b.dim == c.dim:
+        raise ValueError(f"operands have mixed dimensions: {a.dim}, {b.dim}, {c.dim}")
     m = {"A": a.data, "B": b.data, "C": c.data}
     terms = [np.trace(m[t]) * (m[p] @ m[q] - m[r] @ m[s]) for t, (p, q), (r, s) in definitions.CLOSED_REMAINDER_TERMS]
     return DenseTensor(_MAT, a.dim, sum(terms[1:], terms[0]))

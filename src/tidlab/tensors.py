@@ -6,14 +6,14 @@ the upper axes first; the flat lexicographic order of that array is the
 serialization order.  All values are immutable after construction.
 
 The numeric checks run on raw arrays with one extra leading batch axis, one
-trial per row; each public function on tensors is a batch of one.  A diagram
-of one or two operands is one einsum, a larger one pairwise matmuls or einsums.
+trial per row; each public function on tensors is a batch of one.  Every
+diagram is one einsum; the ternary bracket's chains run as two batched matmuls
+in `graded`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -195,22 +195,12 @@ def contract(a: DenseTensor, upper_slot: int, lower_slot: int) -> DenseTensor:
 
 @lru_cache(maxsize=None)
 def _einsum_plan(diagram: ContractionDiagram):
-    """Compile a diagram once into pairwise steps with integer einsum subscripts.
+    """Label a diagram once with integer einsum subscripts: (subs, out_sub).
 
-    Returns (steps, final_subs, out_sub).  A diagram of one or two operands
-    has no steps and is one einsum over its own subscripts, `final_subs`.  A
-    larger one is joined pair by pair down to one operand: each step (l, r,
-    sub_l, sub_r, kept, s) replaces working operands l and r by their product
-    labelled `kept`, the labels of l, then of r, that a remaining operand or
-    the output still needs.  If l is labelled (kept, shared) and r (shared,
-    kept), the step is the batched matmul (n, d^kl, d^s) @ (n, d^s, d^kr) over
-    views of its s shared labels; else s is None and the step is one einsum.
-    `final_subs` is () if the last product is in output order, else its
-    labels, which one einsum transposes.
-
-    Every slot ranges over the same dimension d, so a step spanning k labels
-    costs d^k at every d: greedily joining the pair with the fewest labels in
-    their union fixes one order for all dimensions.
+    Each matched pair shares one label, numbered in `diagram.matching` order,
+    and each free slot gets the next label in operand order; `subs` holds one
+    tuple per operand, upper slots first, and `out_sub` the free uppers, then
+    the free lowers.
     """
     ids = itertools.count()
     label: dict[tuple[int, str, int], int] = {}
@@ -228,35 +218,7 @@ def _einsum_plan(diagram: ContractionDiagram):
                     free[kind].append(label[key])
                 sub.append(label[key])
         subs.append(tuple(sub))
-    out_sub = tuple(free[UPPER] + free[LOWER])
-
-    steps = []
-    while len(subs) > 1 and len(diagram.operand_shapes) > 2:
-        i, j = min(
-            itertools.combinations(range(len(subs)), 2),
-            key=lambda ij: len(set(subs[ij[0]] + subs[ij[1]])),
-        )
-        rest = [s for k, s in enumerate(subs) if k not in (i, j)]
-        step = _step(i, j, subs[i], subs[j], set(out_sub).union(*rest), None if rest else out_sub)
-        steps.append(step)
-        subs = rest + [step[4]]
-    return tuple(steps), (() if steps and subs == [out_sub] else tuple(subs)), out_sub
-
-
-def _step(i: int, j: int, sub_i: tuple, sub_j: tuple, needed: set, out_sub) -> tuple:
-    """The `_einsum_plan` step joining working operands i and j: a matmul in
-    the orientation l @ r that groups both operands, preferring on the last
-    step (`out_sub` given) a product in output order; else one einsum i, j."""
-    found = None
-    for l, r, sub_l, sub_r in ((i, j, sub_i, sub_j), (j, i, sub_j, sub_i)):
-        kl = tuple(x for x in sub_l if x in needed)
-        kr = tuple(x for x in sub_r if x in needed)
-        shared = sub_r[: len(sub_r) - len(kr)]
-        # a label joins at most two slots, so if l ends with r's first labels, r ends with kr
-        if sub_l == kl + shared and (found is None or kl + kr == out_sub):
-            found = l, r, sub_l, sub_r, kl + kr, len(shared)
-    kept = tuple(x for x in sub_i + sub_j if x in needed)
-    return found or (i, j, sub_i, sub_j, kept, None)
+    return tuple(subs), tuple(free[UPPER] + free[LOWER])
 
 
 # the einsum label of the leading trial axis: numpy takes labels below 52, and
@@ -267,26 +229,15 @@ _BATCH_LABEL = (51,)
 def _contract(diagram: ContractionDiagram, arrays: list[np.ndarray]) -> np.ndarray:
     """`apply_diagram` on batches: each array is (n, dim, ...), one trial per row.
 
-    For the product and chain diagrams each row is bit-identical to a batch
-    of one: a two-operand einsum and a batched matmul both compute row by
-    row.  numpy may order another diagram's sums differently in a batch.
+    The diagram is one einsum.  For three or more operands numpy chooses the
+    pairwise order (`optimize`), so no diagram pays one loop over all of its
+    labels; a diagram of one or two operands is a plain einsum, which computes
+    row by row, so each row is bit-identical to a batch of one.
     """
-    steps, final_subs, out_sub = _einsum_plan(diagram)
+    subs, out_sub = _einsum_plan(diagram)
     n = _BATCH_LABEL
-    arrays = list(arrays)
-    for l, r, sub_l, sub_r, kept, s in steps:
-        b = arrays.pop(r)
-        a = arrays.pop(l - (l > r))  # l moved down if it was after r
-        if s is None:
-            arrays.append(np.einsum(a, n + sub_l, b, n + sub_r, n + kept))
-            continue
-        inner = math.prod(b.shape[1 : 1 + s])
-        product = a.reshape(len(a), -1, inner) @ b.reshape(len(b), inner, -1)
-        arrays.append(product.reshape(a.shape[: a.ndim - s] + b.shape[1 + s :]))
-    if not final_subs:
-        return arrays[0]
-    args = [x for a, s in zip(arrays, final_subs) for x in (a, n + s)]
-    return np.einsum(*args, n + out_sub)
+    args = [x for a, s in zip(arrays, subs) for x in (a, n + s)]
+    return np.einsum(*args, n + out_sub, optimize=len(arrays) > 2)
 
 
 def apply_diagram(
@@ -296,8 +247,8 @@ def apply_diagram(
 
     Equivalent to forming the full tensor product and contracting each matched
     pair; free slots come out in canonical order (free uppers in operand
-    order, then free lowers in operand order).  The contraction runs in the
-    pairwise order compiled once per diagram by `_einsum_plan`.
+    order, then free lowers in operand order).  The contraction is one einsum
+    over the labels `_einsum_plan` compiles once per diagram.
     """
     dim, arrays = _stack([operands], diagram.operand_shapes)
     return DenseTensor(diagram.output_shape, dim, _contract(diagram, arrays)[0])

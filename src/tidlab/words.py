@@ -536,7 +536,10 @@ def verify_identity18_symbolic(weights="symbolic") -> Identity18Report:
     if weights == "symbolic":
         cyclo_weights = canonical_cubic_weights()
     else:
-        cyclo_weights = tuple(weights)
+        try:
+            cyclo_weights = tuple(weights)
+        except TypeError:  # not iterable, such as a bare number
+            cyclo_weights = ()
         if len(cyclo_weights) != 3 or not all(
             isinstance(w, CycloScalar) for w in cyclo_weights
         ):

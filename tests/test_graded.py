@@ -6,6 +6,7 @@ import pytest
 from tidlab.graded import (
     _CHAINS,
     _WORD_PARTS,
+    _chain_product,
     _cyclic,
     _fold_middle,
     _evaluate,
@@ -23,7 +24,7 @@ from tidlab.graded import (
     random_graded_pair,
     three_commutator,
 )
-from tidlab.tensors import DenseTensor, TensorShape, _batches, _columns, _contract, _stack, random_tensor
+from tidlab.tensors import DenseTensor, TensorShape, _batches, _columns, _stack, random_tensor
 from tidlab.definitions import CYCLIC16_TERMS, IDENTITY18_TERMS
 from tidlab.words import BRACKET_WORD_ORDER, HIGH, LOW, GradedWord, word_generators
 
@@ -328,7 +329,7 @@ def _dict_three_commutator(x, y, z, weights, convention):
             l2r, r2l = (arg[middle].transpose(swap) if p == CROSSED else arg[middle] for p in pairings[kind])
             mids.append(l2r + r2l)
         terms = [
-            _contract(_CHAINS[kind], [ends[i], mids[j], ends[k]]) * getattr(weights, w)
+            _chain_product(kind, ends[i], mids[j], ends[k]) * getattr(weights, w)
             for (i, j, k), w in BRACKET_WORD_ORDER
         ]
         out[kind] = sum(terms[1:], terms[0])

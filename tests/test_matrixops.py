@@ -128,6 +128,13 @@ def test_cyclic_residual_matches_closed_remainder():
         assert relative_residual(res, mats) < 1e-10
 
 
+def test_closed_remainder_rejects_mixed_dimensions():
+    for mats in ((A, B, kronecker_delta(3)), (A, kronecker_delta(3), B), (kronecker_delta(3), A, B)):
+        dims = ", ".join(str(m.dim) for m in mats)
+        with pytest.raises(ValueError, match=f"mixed dimensions: {dims}$"):
+            closed_remainder(*mats)
+
+
 def test_cyclic_residual_traceless_inputs_vanish():
     p = Phi2Params.traced_commutator()
     n = 3

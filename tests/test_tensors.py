@@ -1,4 +1,3 @@
-import functools
 import itertools
 import string
 from dataclasses import astuple
@@ -6,16 +5,18 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from tidlab import definitions, tensors
 from tidlab.definitions import CROSSED, PARALLEL
 from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotRef, enumerate_diagrams
-from tidlab.graded import _CHAINS, _WORD_PARTS, TernaryWeights, _fold_middle, random_graded_pair, three_commutator
+from tidlab.graded import (
+    _CHAINS, _WORD_PARTS, TernaryWeights, _chain_product, _fold_middle, random_graded_pair, three_commutator
+)
 from tidlab.matrixops import _PHI2_DIAGRAMS, _evaluate, _jacobi, Phi2Params, phi2
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
     _contract,
     _einsum_plan,
-    _step,
     apply_diagram,
     contract,
     grading,
@@ -249,15 +250,23 @@ def test_apply_diagram_matches_single_einsum():
 
 
 def _outer_then_traces(diagram, ops):
-    """apply_diagram's definition with no einsum: the full tensor product, then one trace per matched pair."""
-    full = functools.reduce(tensor_product, ops)
-    # the full product's remaining slots, each as (operand, position), in its slot order
-    uppers = [(i, k) for i, s in enumerate(diagram.operand_shapes) for k in range(s.upper)]
-    lowers = [(i, k) for i, s in enumerate(diagram.operand_shapes) for k in range(s.lower)]
-    for up_op, up_pos, low_op, low_pos in diagram.matching:
-        full = contract(full, uppers.index((up_op, up_pos)), lowers.index((low_op, low_pos)))
-        uppers.remove((up_op, up_pos))
-        lowers.remove((low_op, low_pos))
+    """apply_diagram's definition with no einsum: tensor products, then one trace per matched pair.
+
+    Operands join the product one at a time, and a pair is traced as soon as both its slots are in:
+    a trace commutes with a tensor product by another factor, and the product stays small.
+    """
+    full = None
+    # the product's remaining slots, each as (operand, position), in its slot order
+    uppers, lowers = [], []
+    for i, (shape, op) in enumerate(zip(diagram.operand_shapes, ops)):
+        full = op if full is None else tensor_product(full, op)
+        uppers += [(i, k) for k in range(shape.upper)]
+        lowers += [(i, k) for k in range(shape.lower)]
+        for up_op, up_pos, low_op, low_pos in diagram.matching:
+            if max(up_op, low_op) == i:
+                full = contract(full, uppers.index((up_op, up_pos)), lowers.index((low_op, low_pos)))
+                uppers.remove((up_op, up_pos))
+                lowers.remove((low_op, low_pos))
     return full
 
 
@@ -278,46 +287,77 @@ def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
         assert np.array_equal(apply_diagram(d, ops).data, _single_einsum(d, ops)), d.to_json()
 
 
-def test_chain_plans_span_at_most_four_labels():
-    # each chain is two batched matmuls that end in output order
-    for chain in _CHAINS.values():
-        steps, final_subs, out_sub = _einsum_plan(chain)
-        spans = [set(sub_l + sub_r + kept) for _, _, sub_l, sub_r, kept, _ in steps]
-        assert len(steps) == 2
-        assert all(s is not None for *_, s in steps)
-        assert final_subs == () and steps[-1][4] == out_sub
-        assert max(map(len, spans)) <= 4
+def _chain_operands(kind, dim, pairings, rows=3):
+    """A batch of random ends and a folded middle for `_CHAINS[kind]`, as (rows, dim, dim, dim) arrays."""
+    rng = np.random.default_rng(dim)
+    draw = lambda: rng.uniform(-1, 1, (rows,) + (dim,) * 3) + 1j * rng.uniform(-1, 1, (rows,) + (dim,) * 3)
+    return draw(), _fold_middle(draw(), _WORD_PARTS[kind], pairings), draw()
+
+
+def _chain_oracle(kind, first, mid, last):
+    """`_outer_then_traces` on `_CHAINS[kind]`, row by row."""
+    chain = _CHAINS[kind]
+    dim = first.shape[1]
+    return np.stack([
+        _outer_then_traces(chain, [DenseTensor(s, dim, t) for s, t in zip(chain.operand_shapes, row)]).data
+        for row in zip(first, mid, last)
+    ])
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize(
+    "pairings", ((PARALLEL, PARALLEL), (CROSSED, CROSSED), (PARALLEL, CROSSED)), ids=("parallel", "crossed", "mixed")
+)
+@pytest.mark.parametrize("kind", sorted(_CHAINS))
+def test_chain_product_matches_outer_product_and_traces(kind, pairings, dim):
+    operands = _chain_operands(kind, dim, pairings)
+    got = _chain_product(kind, *operands)
+    assert np.allclose(got, _chain_oracle(kind, *operands), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 5, 8))
+def test_chain_order_control(dim):
+    # the oracle tells the ends apart: the HIGH chain with its ends swapped is another tensor
+    kind = definitions.HIGH
+    first, mid, last = _chain_operands(kind, dim, (PARALLEL, PARALLEL))
+    swapped = _chain_product(kind, last, mid, first)
+    assert not np.allclose(swapped, _chain_oracle(kind, first, mid, last), rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
 def test_chain_batch_rows_equal_batches_of_one(dim):
-    rng = np.random.default_rng(dim)
-    draw = lambda: rng.uniform(-1, 1, (7,) + (dim,) * 3) + 1j * rng.uniform(-1, 1, (7,) + (dim,) * 3)
-    for kind, chain in _CHAINS.items():
+    for kind in _CHAINS:
         for pairings in ((PARALLEL, PARALLEL), (CROSSED, CROSSED)):
-            first, mid, last = draw(), _fold_middle(draw(), _WORD_PARTS[kind], pairings), draw()
-            batch = _contract(chain, [first, mid, last])
+            first, mid, last = _chain_operands(kind, dim, pairings, rows=7)
+            batch = _chain_product(kind, first, mid, last)
             for row in range(7):
                 # rows sliced as views and as a fresh copy: the bytes must not depend on the buffer
-                one = _contract(chain, [first[row : row + 1], mid[row : row + 1], last[row : row + 1].copy()])
+                one = _chain_product(kind, first[row : row + 1], mid[row : row + 1], last[row : row + 1].copy())
                 assert one.tobytes() == batch[row : row + 1].tobytes(), (kind, pairings, row)
 
 
-def test_matmul_steps_on_scalars_self_contractions_and_dim_1():
+def test_contract_is_one_einsum(monkeypatch):
+    # diagrams of one to four operands, the chains among them, each pay exactly one np.einsum call
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(tensors.np, "einsum", lambda *a, **k: calls.append(k) or einsum(*a, **k))
+    families = ([TensorShape(2, 2)], [MAT, MAT], [HIGH, LOW, HIGH], [MAT] * 4)
+    diagrams = [*_CHAINS.values(), *(d for shapes in families for d in enumerate_diagrams(shapes)[:5])]
+    for d in diagrams:
+        arrays = [random_tensor(s, 2, i).data[None] for i, s in enumerate(d.operand_shapes)]
+        calls.clear()
+        _contract(d, arrays)
+        assert calls == [{"optimize": len(arrays) > 2}], d.to_json()
+    assert {len(d.operand_shapes) for d in diagrams} == {1, 2, 3, 4}
+
+
+def test_three_operand_diagrams_on_scalars_self_contractions_and_dim_1():
     # three-operand diagrams with (0,0) operands or a self-contracted operand, against the no-einsum oracle
     scalar = TensorShape(0, 0)
     families = ([scalar, MAT, scalar], [scalar, scalar, HIGH], [MAT, MAT, MAT], [TensorShape(2, 2), MAT, MAT])
-    forms = set()
     for d, ops in _diagrams_with_operands(families, (1, 2, 3)):
-        for _, _, sub_l, sub_r, kept, s in _einsum_plan(d)[0]:
-            forms.add(s is None)
-            # a matmul step's left operand ends with the s labels its right one starts with
-            if s is not None:
-                assert sub_l[len(sub_l) - s :] == sub_r[:s], d.to_json()
-                assert kept == sub_l[: len(sub_l) - s] + sub_r[s:], d.to_json()
         want = _outer_then_traces(d, ops)
         assert np.allclose(apply_diagram(d, ops).data, want.data, rtol=1e-12, atol=1e-12), d.to_json()
-    assert forms == {True, False}
 
 
 def _slotref_plan(diagram):
@@ -338,17 +378,7 @@ def _slotref_plan(diagram):
                     free[kind].append(label[key])
                 sub.append(label[key])
         subs.append(tuple(sub))
-    out_sub = tuple(free[UPPER] + free[LOWER])
-    steps = []
-    while len(subs) > 1 and len(diagram.operand_shapes) > 2:
-        i, j = min(
-            itertools.combinations(range(len(subs)), 2),
-            key=lambda ij: len(set(subs[ij[0]] + subs[ij[1]])),
-        )
-        rest = [s for k, s in enumerate(subs) if k not in (i, j)]
-        steps.append(_step(i, j, subs[i], subs[j], set(out_sub).union(*rest), None if rest else out_sub))
-        subs = rest + [steps[-1][4]]
-    return tuple(steps), (() if steps and subs == [out_sub] else tuple(subs)), out_sub
+    return tuple(subs), tuple(free[UPPER] + free[LOWER])
 
 
 def test_plans_label_as_the_sorted_slotref_pairs_did():

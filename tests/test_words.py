@@ -323,6 +323,12 @@ def test_bad_weights_reported():
     assert any("nonzero at weights" in f for f in report.failures)
 
 
+@pytest.mark.parametrize("weights", [5, 1.5, "bogus", (CycloScalar.one(),) * 2, (CycloScalar.one(),) * 2 + (1,)])
+def test_identity18_rejects_malformed_weights(weights):
+    with pytest.raises(ValueError, match="weights must be 'symbolic' or a CycloScalar triple"):
+        verify_identity18_symbolic(weights)
+
+
 def test_report_json_with_word_tables():
     report = verify_identity18_symbolic()
     obj = report.to_json(include_words=True)
