@@ -2,7 +2,9 @@
 
 All randomness is seed-driven and every JSON report is byte-identical for an
 identical configuration (elapsed times appear only in text output).  Exit
-status: 0 all checks pass, 1 any check fails, 2 usage error.
+status: 0 all checks pass, 1 any check fails, 2 the command could not run:
+bad input, a file it cannot read or write, or closed output.  It prints one
+`error:` line and never a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterator, Optional, Union
 
@@ -138,7 +140,7 @@ def _unit(coeffs):
     depend on their size.  A zero tuple is returned as it is.  `RunConfig`
     has checked that every modulus is finite, so `abs` cannot overflow.
     """
-    values = astuple(coeffs)
+    values = tuple(vars(coeffs).values())  # not astuple: it deep-copies
     top = max(map(abs, values))
     return type(coeffs)(*(v / top for v in values)) if top else coeffs
 
@@ -384,7 +386,7 @@ def load_convention(source: Optional[str], cfg: RunConfig) -> ChainConvention:
                 # convention-search writes null pairings when no convention survives
                 raise ValueError("descriptor has no pairings")
             return ChainConvention.from_json(pairings)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # json.load raises RecursionError on deep nesting
             raise ValueError(f"{source}: {exc}") from None
 
 
@@ -434,30 +436,26 @@ def _json_value(value, nl: str, tuples: dict) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cfg = RunConfig(
-            dim=args.dim,
-            seeds=default_seeds(args.seeds),
-            tolerance_rel=args.tol,
-            weights=_parse_weights(args.weights),
-            mode=args.mode,
-            params=Phi2Params(*(_complex(getattr(args, f.name), f"--{f.name}") for f in fields(Phi2Params))),
-        )
-        selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
-        if not selected:
-            raise ValueError(f"suite {args.suite!r} has no {cfg.mode} checks")
-        # a moved setting that no selected row reads would be ignored
-        for s, flag, moved in (("params", "--alpha..--delta", cfg.params != Phi2Params()),
-                               ("weights", "--weights", cfg.weights != RunConfig.weights),
-                               ("convention", "--convention", args.convention is not None)):
-            if moved and not any(s in c.reads for c in selected):
-                rows = " and ".join(c.name for c in CHECKS if s in c.reads)
-                raise ValueError(f"{flag} is read only by {rows}, not by suite {args.suite!r} with --mode {cfg.mode}")
-        # last: auto-search is slow and runs on the validated grid
-        cfg = replace(cfg, convention=load_convention(args.convention, cfg))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = RunConfig(
+        dim=args.dim,
+        seeds=default_seeds(args.seeds),
+        tolerance_rel=args.tol,
+        weights=_parse_weights(args.weights),
+        mode=args.mode,
+        params=Phi2Params(*(_complex(getattr(args, f.name), f"--{f.name}") for f in fields(Phi2Params))),
+    )
+    selected = [c for c in CHECKS if c.selected(args.suite, cfg.mode)]
+    if not selected:
+        raise ValueError(f"suite {args.suite!r} has no {cfg.mode} checks")
+    # a moved setting that no selected row reads would be ignored
+    for s, flag, moved in (("params", "--alpha..--delta", cfg.params != Phi2Params()),
+                           ("weights", "--weights", cfg.weights != RunConfig.weights),
+                           ("convention", "--convention", args.convention is not None)):
+        if moved and not any(s in c.reads for c in selected):
+            rows = " and ".join(c.name for c in CHECKS if s in c.reads)
+            raise ValueError(f"{flag} is read only by {rows}, not by suite {args.suite!r} with --mode {cfg.mode}")
+    # last: auto-search is slow and runs on the validated grid
+    cfg = replace(cfg, convention=load_convention(args.convention, cfg))
     reports = [c.run(cfg) for c in selected]
     reports.sort(key=lambda r: r.name)
     all_pass = all(r.passed for r in reports)
@@ -492,24 +490,20 @@ def _parse_weights(text: str) -> Union[str, tuple[complex, complex, complex]]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        shapes = parse_shapes(args.shapes)
-        out_shape = None
-        if args.out is not None:
-            out_shapes = parse_shapes(args.out)
-            if len(out_shapes) != 1:
-                raise ValueError(f"--out takes one shape like '(2,1)', got {args.out!r}")
-            (out_shape,) = out_shapes
-        options = EnumOptions(
-            forbid_self_contraction=args.no_self,
-            quotient_by_slot_symmetry=args.quotient_slots or args.unordered,
-            quotient_by_operand_symmetry=args.quotient_operands or args.unordered,
-            require_connected=args.connected or args.unordered,
-            required_output_shape=out_shape,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shapes = parse_shapes(args.shapes)
+    out_shape = None
+    if args.out is not None:
+        out_shapes = parse_shapes(args.out)
+        if len(out_shapes) != 1:
+            raise ValueError(f"--out takes one shape like '(2,1)', got {args.out!r}")
+        (out_shape,) = out_shapes
+    options = EnumOptions(
+        forbid_self_contraction=args.no_self,
+        quotient_by_slot_symmetry=args.quotient_slots or args.unordered,
+        quotient_by_operand_symmetry=args.quotient_operands or args.unordered,
+        require_connected=args.connected or args.unordered,
+        required_output_shape=out_shape,
+    )
     diagrams = enumerate_diagrams(shapes, options)
     histogram = classify_by_output(diagrams)
     if args.json:
@@ -539,12 +533,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_convention_search(args: argparse.Namespace) -> int:
     from .graded import convention_search
 
-    try:
-        cfg = RunConfig(dim=args.dim, seeds=default_seeds(args.seeds), tolerance_rel=args.tol)
-        trials, survivors = convention_search(dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = RunConfig(dim=args.dim, seeds=default_seeds(args.seeds), tolerance_rel=args.tol)
+    trials, survivors = convention_search(dim=cfg.dim, seeds=cfg.seeds, tolerance=cfg.tolerance_rel)
     descriptor = {
         "schema": SCHEMA,
         "kind": "chain_convention",
@@ -562,12 +552,8 @@ def cmd_convention_search(args: argparse.Namespace) -> int:
     }
     text = _json_text(descriptor)
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write descriptor: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if args.json:
         sys.stdout.write(text)
     else:
@@ -639,7 +625,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:  # what is left would fail at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

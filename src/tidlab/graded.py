@@ -18,7 +18,7 @@ the survivors; the canonical convention pairs slots in parallel everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -224,8 +224,7 @@ def _fold_middle(t: np.ndarray, swap: tuple[int, ...], pairings: tuple[str, str]
 
 def _three_commutator(x, y, z, weights, convention):
     args = (x, y, z)
-    v = astuple(convention)  # field order: high (l2r, r2l), then low (l2r, r2l)
-    pairings = {HIGH: v[:2], LOW: v[2:]}
+    pairings = {HIGH: (convention.high_l2r, convention.high_r2l), LOW: (convention.low_l2r, convention.low_r2l)}
     out = np.empty_like(x)
     for c, kind in enumerate((LOW, HIGH)):
         ends = [arg[c] for arg in args]

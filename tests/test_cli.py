@@ -1,8 +1,14 @@
 import enum
+import errno
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +609,68 @@ def test_verify_descriptor_not_json_names_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and str(path) in err
+
+
+def test_verify_deeply_nested_descriptor_names_file(tmp_path, capsys):
+    # json.load gives up on deep nesting with a RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["verify", "cyclic16", "--convention", str(path), "--seeds", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--weights=1,2"],
+         "--weights must be 'canonical', 'random-constrained' or three complex literals, got '1,2'"),
+        (["--convention", "auto-search", "--dim", "2", "--tol", "1e-30"],
+         "convention auto-search found no surviving convention"),
+    ],
+    ids=["weights-arity", "auto-search-no-survivor"],
+)
+def test_verify_cyclic16_usage_error(capsys, argv, message):
+    assert run(capsys, ["verify", "cyclic16", *argv, "--seeds", "1"]) == (2, "", f"error: {message}\n")
+
+
+def test_convention_search_unwritable_descriptor_names_path(tmp_path, capsys):
+    code, out, err = run(capsys, ["convention-search", "--seeds", "1", "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "(1,1)x(1,1)"], ["enumerate", "(1,1)x(1,1)", "--json"],
+     ["verify", "jacobi", "--dim", "2", "--seeds", "1"], ["convention-search", "--seeds", "1", "--json"]],
+)
+def test_closed_stdout_one_error_line(capsys, monkeypatch, argv):
+    # an error after validation takes the same exit as bad input
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, f"error: [Errno {errno.EPIPE}] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_in_a_fresh_interpreter(unbuffered):
+    # buffered output meets the closed pipe in main's flush, not in the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(tidlab.cli.__file__).resolve().parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, "-m", "tidlab.cli", "enumerate", "(1,1)x(1,1)"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, f"error: [Errno {errno.EPIPE}] Broken pipe\n")
 
 
 @pytest.mark.parametrize(

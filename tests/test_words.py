@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tidlab.definitions
 from tidlab.cli import main
 from tidlab.cyclo import CycloScalar, WeightPoly
 from tidlab.matrixops import Phi2Params, phi3
@@ -321,6 +322,33 @@ def test_bad_weights_reported():
     report = verify_identity18_symbolic(bad)
     assert not report.passed
     assert any("nonzero at weights" in f for f in report.failures)
+
+
+_TERMS = tidlab.definitions.IDENTITY18_TERMS
+
+
+@pytest.mark.parametrize(
+    "terms, named",
+    [
+        (_TERMS[:19], ["instance count 1368 != 1440"]),
+        (("AABDE",) + _TERMS[1:],
+         [f"{k}: {what}" for what in ("138 distinct words != 120", "class structure ") for k in (HIGH, LOW)]),
+    ],
+    ids=["nineteen-terms", "repeated-symbol"],
+)
+def test_identity18_structure_checks_fail_on_mutated_terms(monkeypatch, terms, named):
+    monkeypatch.setattr(tidlab.definitions, "IDENTITY18_TERMS", terms)
+    report = verify_identity18_symbolic()
+    assert report.passed is False
+    for failure in named:
+        assert any(f.startswith(failure) for f in report.failures), failure
+
+
+def test_identity18_ideal_check_fails_outside_the_symmetric_ideal(monkeypatch):
+    monkeypatch.setitem(WEIGHT_CLASS_POLYS, "Eq1", VA**2)
+    report = verify_identity18_symbolic()
+    assert report.passed is False
+    assert any(f.startswith("Eq1 not in the symmetric ideal: remainder ") for f in report.failures)
 
 
 @pytest.mark.parametrize("weights", [5, 1.5, "bogus", (CycloScalar.one(),) * 2, (CycloScalar.one(),) * 2 + (1,)])
