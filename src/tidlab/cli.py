@@ -151,54 +151,79 @@ def _rand_params(seed: int) -> Phi2Params:
     return _unit(Phi2Params(**_random_member(definitions.PRODUCT_FAMILY, seed)))
 
 
-def _mats(cfg: RunConfig, seed: int, n: int) -> list:
-    from .matrixops import _MAT
-    from .tensors import _trial_seeds, random_tensor
+class _Batch:
+    """One batch of seeds and their operands, each drawn on its first read.
 
-    return [random_tensor(_MAT, cfg.dim, s) for s in _trial_seeds(seed, n)]
+    Operand i of a seed is drawn with seed 10·seed + i (`_trial_seeds`), so every
+    numeric row of a run shares each seed's matrices and graded pairs, and a row
+    that needs fewer operands reads their prefix.
+    """
+
+    def __init__(self, dim: int, seeds: list[int]):
+        self.dim, self.seeds, self._drawn = dim, seeds, {}
+
+    def mats(self, seed: int, n: int) -> list:
+        from .matrixops import _MAT
+        from .tensors import random_tensor
+
+        return self._read("mats", seed, n, lambda s: random_tensor(_MAT, self.dim, s))
+
+    def pairs(self, seed: int, n: int) -> list:
+        from .graded import random_graded_pair
+
+        return self._read("pairs", seed, n, lambda s: random_graded_pair(self.dim, s))
+
+    def _read(self, kind: str, seed: int, n: int, draw: Callable) -> list:
+        from .tensors import _trial_seeds
+
+        keys = [(kind, s) for s in _trial_seeds(seed, n)]
+        for key in keys:
+            if key not in self._drawn:
+                self._drawn[key] = draw(key[1])
+        return [self._drawn[key] for key in keys]
 
 
-def _jacobi_numeric(cfg: RunConfig) -> Iterator[tuple]:
+def _jacobi_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
     from .matrixops import _evaluate, _jacobi
 
-    return _evaluate(_jacobi, ((_mats(cfg, seed, 3), _unit(cfg.params)) for seed in cfg.seeds))
+    return _evaluate(_jacobi, ((batch.mats(seed, 3), _unit(cfg.params)) for seed in batch.seeds))
 
 
-def _identity6_numeric(cfg: RunConfig) -> Iterator[tuple]:
+def _identity6_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
     from .matrixops import _evaluate, _identity6
 
-    trials = ((mats, params) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
+    trials = ((mats, params) for seed in batch.seeds for mats in [batch.mats(seed, 4)]
               for params in (Phi2Params.traced_commutator(), _rand_params(seed)))
     return _evaluate(_identity6, trials)
 
 
-def _phi4_numeric(cfg: RunConfig) -> Iterator[tuple]:
+def _phi4_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
     from .matrixops import _alternating, _evaluate
 
-    trials = ((mats, _rand_params(seed * 1000 + k)) for seed in cfg.seeds for mats in [_mats(cfg, seed, 4)]
+    trials = ((mats, _rand_params(seed * 1000 + k)) for seed in batch.seeds for mats in [batch.mats(seed, 4)]
               for k in range(_PHI4_DRAWS))
     return _evaluate(_alternating, trials)
 
 
-def _appendix1_numeric(cfg: RunConfig) -> Iterator[tuple]:
+def _appendix1_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
     from .matrixops import _evaluate, _jacobi, closed_remainder
 
-    trials = ((_mats(cfg, seed, 3), Phi2Params.traced_commutator()) for seed in cfg.seeds)
+    trials = ((batch.mats(seed, 3), Phi2Params.traced_commutator()) for seed in batch.seeds)
     for res, mats in _evaluate(_jacobi, trials):
         yield res - closed_remainder(*mats), mats
 
 
-def _cyclic16_numeric(cfg: RunConfig) -> Iterator[tuple]:
-    from .graded import _cyclic, _evaluate, _trial_pairs
+def _cyclic16_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
+    from .graded import _cyclic, _evaluate
 
-    trials = ((_trial_pairs(cfg.dim, seed, 3), _unit(cfg.ternary_weights(seed))) for seed in cfg.seeds)
+    trials = ((batch.pairs(seed, 3), _unit(cfg.ternary_weights(seed))) for seed in batch.seeds)
     return _evaluate(_cyclic, trials, cfg.convention)
 
 
-def _identity18_numeric(cfg: RunConfig) -> Iterator[tuple]:
-    from .graded import _evaluate, _identity18, _trial_pairs
+def _identity18_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
+    from .graded import _evaluate, _identity18
 
-    trials = ((_trial_pairs(cfg.dim, seed, 5), _unit(cfg.ternary_weights(seed))) for seed in cfg.seeds)
+    trials = ((batch.pairs(seed, 5), _unit(cfg.ternary_weights(seed))) for seed in batch.seeds)
     return _evaluate(_identity18, trials, cfg.convention)
 
 
@@ -228,7 +253,8 @@ def _cyclic16_symbolic(cfg: RunConfig) -> tuple[bool, str]:
     from .cyclo import _E1, _VAR
     from .words import expand_three_commutator_symbolic
 
-    total = definitions.nested_sum(definitions.CYCLIC16_TERMS, "ABC", expand_three_commutator_symbolic, 3)
+    bracket = definitions.termwise(expand_three_commutator_symbolic)
+    total = definitions.nested_sum(definitions.CYCLIC16_TERMS, "ABC", bracket, 3)
     if not (len(total) == 12 and all(c == _E1 for _, c in total.sorted_terms())):
         return False, "unexpected coefficients"
     # every word's coefficient is e1, so the identity holds on the weight family only if e1 vanishes there
@@ -261,17 +287,17 @@ _CONSTRAINED = (("params", "beta=-alpha, delta=-gamma"),)
 class Check:
     """One row of the check table.
 
-    `body(cfg)` of a numeric row returns the (residual, operands) trials of
-    `cfg.seeds` in seed order, evaluated in batches of trials, for
-    `worst_residual`; of a symbolic row, (passed, digest).
-    `reads` names the settings the body reads; the report params show
-    them, then the fixed `notes`.
+    `body(cfg, batch)` of a numeric row returns the (residual, operands)
+    trials of the batch's seeds in seed order, evaluated in batches of
+    trials, for `worst_residual`; `body(cfg)` of a symbolic row returns
+    (passed, digest).  `reads` names the settings the body reads; the report
+    params show them, then the fixed `notes`.
     """
 
     name: str
     suites: tuple[str, ...]
     kind: str  # "numeric" or "symbolic"
-    body: Callable[[RunConfig], object]
+    body: Callable[..., object]
     reads: tuple[str, ...] = ()
     notes: tuple[tuple, ...] = ()
 
@@ -281,24 +307,51 @@ class Check:
         return in_mode and suite in (*self.suites, "all")
 
     def run(self, cfg: RunConfig) -> CheckReport:
-        start = time.perf_counter()
-        out = self.body(cfg)
+        return _run_checks([self], cfg)[0]
+
+    def report(self, cfg: RunConfig, out, elapsed: float) -> CheckReport:
+        """The report of an outcome: a numeric row's worst residual, a symbolic row's (passed, digest)."""
         residual = digest = None
         if self.kind == "numeric":
-            from .matrixops import worst_residual
-
-            residual = worst_residual(out)
+            residual = out
             passed = residual <= cfg.tolerance_rel
             if not math.isfinite(residual):
                 digest = "non-finite residual"
         else:
             passed, digest = out
-        elapsed = time.perf_counter() - start
         shown = {"dim": cfg.dim, "weights": cfg.weights_name(), "convention": cfg.convention.label()}
         params = {}
         for s in self.reads:  # params are shown as alpha..delta
             params |= {k: [v.real, v.imag] for k, v in cfg.params.as_dict().items()} if s == "params" else {s: shown[s]}
         return CheckReport(self.name, params | dict(self.notes), passed, residual, digest, elapsed)
+
+
+def _run_checks(checks: list[Check], cfg: RunConfig) -> list[CheckReport]:
+    """Each check's report, in order.
+
+    The numeric rows run together over batches of at most `_BATCH` seeds.  A
+    batch's operands are drawn once and shared by every row, and the batch is
+    dropped before the next is drawn, so memory stays bounded at any seed
+    count.  A row's residual is the worst over its batches.
+    """
+    outcome, elapsed = {}, dict.fromkeys(checks, 0.0)
+    numeric = [c for c in checks if c.kind == "numeric"]
+    if numeric:
+        from .matrixops import worst_residual
+        from .tensors import _batches
+
+        for seeds in _batches(cfg.seeds):
+            batch = _Batch(cfg.dim, seeds)
+            for c in numeric:
+                start = time.perf_counter()
+                outcome[c] = max(outcome.get(c, 0.0), worst_residual(c.body(cfg, batch)))
+                elapsed[c] += time.perf_counter() - start
+    for c in checks:
+        if c.kind != "numeric":
+            start = time.perf_counter()
+            outcome[c] = c.body(cfg)
+            elapsed[c] = time.perf_counter() - start
+    return [c.report(cfg, outcome[c], elapsed[c]) for c in checks]
 
 
 CHECKS = (
@@ -456,7 +509,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} is read only by {rows}, not by suite {args.suite!r} with --mode {cfg.mode}")
     # last: auto-search is slow and runs on the validated grid
     cfg = replace(cfg, convention=load_convention(args.convention, cfg))
-    reports = [c.run(cfg) for c in selected]
+    reports = _run_checks(selected, cfg)
     reports.sort(key=lambda r: r.name)
     all_pass = all(r.passed for r in reports)
     if args.json:

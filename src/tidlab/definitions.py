@@ -4,7 +4,10 @@ Both routes read this module, the dense numerics (`matrixops`, `graded`) and
 the exact word expansion (`words`); it imports no tidlab module.  The routes
 read each table as an attribute at call time (`definitions.IDENTITY18_TERMS`),
 so one changed definition reaches both.  The readers below say how a table
-reads in any ring; each route passes its own product and arithmetic.
+reads in any ring; each route passes its own product and arithmetic.  A reader
+calls the product once per nesting depth, with one entry per term, so a route
+may evaluate a whole depth in one call (`matrixops` stacks it on the batch
+axis); `termwise` adapts a product of single values.
 
 It also holds the plain value types a run is configured with, the binary
 product's coefficients (`Phi2Params`) and the chain pairing convention
@@ -20,7 +23,7 @@ __all__ = [
     "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
     "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA", "PRODUCT_FAMILY", "ZERO_SUM_FAMILY",
     "CANONICAL_WEIGHT_POWERS", "PHI3_TERMS", "PHI4_TERMS", "family_member", "signed_sum", "alternating",
-    "nested_sum",
+    "nested_sum", "termwise",
 ]
 
 HIGH = "high"  # word type with (2,1) components at even (0-based) positions
@@ -99,24 +102,48 @@ def family_member(family: _Family, values: Mapping) -> dict:
     return {field: signed_sum((sign, values[n]) for sign, n in terms) for field, terms in family.items()}
 
 
-def alternating(operands: Sequence, phi2: Callable):
-    """φ3 of three operands or φ4 of four, read from PHI3_TERMS or PHI4_TERMS with the product phi2."""
-    letters = dict(zip("ABCD", operands))
-    table = {3: PHI3_TERMS, 4: PHI4_TERMS}[len(operands)]
-    inner = lambda args: phi2(*args) if len(args) == 2 else alternating(args, phi2)
-    return signed_sum((sign, phi2(inner([letters[n] for n in names]), letters[last])) for sign, names, last in table)
+def termwise(product: Callable) -> Callable:
+    """`product` of single values as the readers call it: once per depth, on one sequence per argument."""
+    return lambda *columns: [product(*args) for args in zip(*columns)]
+
+
+def alternating(operands: Sequence, product: Callable):
+    """φ3 of three operands or φ4 of four, read from PHI3_TERMS or PHI4_TERMS.
+
+    `product` is the binary product called once per nesting depth: it takes one sequence per
+    argument position, one entry per term, and returns the products in that order (`termwise`
+    makes one from a product of single values).  φ4's four inner φ3s share their depths, so φ4
+    makes three calls (12, 12 and 4 entries) and φ3 two (3 and 3); each sum is `signed_sum`.
+    """
+    return _alternating_sums([operands], product)[0]
+
+
+def _alternating_sums(groups: Sequence[Sequence], product: Callable) -> list:
+    """φ3 or φ4 of each operand group, all groups of one size, evaluated together depth by depth."""
+    table = {3: PHI3_TERMS, 4: PHI4_TERMS}[len(groups[0])]
+    rows = [(dict(zip("ABCD", group)), names, last) for group in groups for _, names, last in table]
+    inner = [[letters[n] for n in names] for letters, names, _ in rows]
+    values = product(*zip(*inner)) if len(inner[0]) == 2 else _alternating_sums(inner, product)
+    outer = product(values, [letters[last] for letters, _, last in rows])
+    k = len(table)
+    return [signed_sum((sign, v) for (sign, _, _), v in zip(table, outer[i:i + k])) for i in range(0, len(outer), k)]
 
 
 def nested_sum(terms: Iterable[str], operands: Sequence, product: Callable, arity: int = 2):
-    """The sum of left-nested terms over the operands lettered A–E.
+    """The sum of left-nested terms over the operands lettered A–E, all terms of one length.
 
     Each step applies `product` to the value so far and the next arity - 1 letters: with arity 2
     "XYZ" means product(product(X, Y), Z), and with arity 3 "PQRST" means product(product(P, Q, R), S, T).
+    `product` is called once per nesting depth, with one sequence per argument position and one
+    entry per term, and returns the products in that order (`termwise` makes one from a product
+    of single values); the terms are summed left to right with `signed_sum`.
     """
     letters = dict(zip("ABCDE", operands))
-    cut = 1 - arity  # a term's last arity - 1 letters are the outermost product's other operands
-    nested = lambda t: product(nested(t[:cut]), *(letters[n] for n in t[cut:])) if len(t) > 1 else letters[t]
-    return signed_sum((1, nested(term)) for term in terms)
+    terms = list(terms)
+    values = [letters[t[0]] for t in terms]
+    for i in range(1, len(terms[0]), arity - 1):
+        values = product(values, *([letters[t[j]] for t in terms] for j in range(i, i + arity - 1)))
+    return signed_sum((1, v) for v in values)
 
 
 @dataclass(frozen=True)

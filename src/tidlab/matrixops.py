@@ -87,23 +87,31 @@ def identity6_residual(
 
 
 def _phi2(a, b, p):
+    """phi2 on (n, dim, dim) batches, or on (k, n, dim, dim) stacks of k such batches sharing p's columns."""
+    rows = lambda x: x.reshape(-1, *x.shape[-2:])
     # not astuple(p): it deep-copies, and phi2 is the innermost numeric call
     weights = (p.alpha, p.beta, p.gamma, p.delta)
-    terms = [_contract(d, [a, b]) * w for d, w in zip(_PHI2_DIAGRAMS, weights)]
+    terms = [_contract(d, [rows(a), rows(b)]).reshape(a.shape) * w for d, w in zip(_PHI2_DIAGRAMS, weights)]
     return sum(terms[1:], terms[0])
+
+
+def _depths(p):
+    """phi2 as the `definitions` readers call it, once per nesting depth: the depth's
+    entries stacked on a leading axis and evaluated in one `_phi2` call."""
+    return lambda xs, ys: list(_phi2(np.stack(xs), np.stack(ys), p))
 
 
 def _alternating(*args):
     *operands, p = args
-    return definitions.alternating(operands, lambda x, y: _phi2(x, y, p))
+    return definitions.alternating(operands, _depths(p))
 
 
 def _jacobi(a, b, c, p):
-    return definitions.nested_sum(definitions.JACOBI_TERMS, (a, b, c), lambda x, y: _phi2(x, y, p))
+    return definitions.nested_sum(definitions.JACOBI_TERMS, (a, b, c), _depths(p))
 
 
 def _identity6(a, b, c, d, p):
-    return definitions.nested_sum(definitions.IDENTITY6_TERMS, (a, b, c, d), lambda x, y: _phi2(x, y, p))
+    return definitions.nested_sum(definitions.IDENTITY6_TERMS, (a, b, c, d), _depths(p))
 
 
 def _evaluate(fn, trials: Iterable[tuple[Sequence[DenseTensor], Phi2Params]]):

@@ -305,19 +305,17 @@ def random_tensor(shape: TensorShape, dim: int, seed: int) -> DenseTensor:
 
 
 def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> DenseTensor:
-    """The next tensor from `rng`: all real parts are drawn first, then the imaginary."""
-    size = (dim,) * shape.order
-    re = rng.uniform(-1.0, 1.0, size)
-    im = rng.uniform(-1.0, 1.0, size)
+    """The next tensor from `rng`: all real parts are drawn first, then the imaginary, in one call."""
+    re, im = rng.uniform(-1.0, 1.0, (2,) + (dim,) * shape.order)
     return DenseTensor(shape, dim, re + 1j * im)
 
 
 def _random_member(family, seed: int) -> dict[str, complex]:
-    """A random member of a `definitions` family: its free parameters are drawn
+    """A random member of a `definitions` family: its free parameters are drawn in one call,
     in order of first use, real then imaginary part of each uniform in [-1, 1]."""
-    rng = np.random.default_rng(seed)
     names = dict.fromkeys(name for terms in family.values() for _, name in terms)
-    return family_member(family, {name: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for name in names})
+    parts = np.random.default_rng(seed).uniform(-1, 1, (len(names), 2))
+    return family_member(family, {name: complex(re, im) for name, (re, im) in zip(names, parts)})
 
 
 def _trial_seeds(seed: int, n: int) -> list[int]:

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from . import definitions
 from .cyclo import _VAR, VARS, CycloScalar, WeightPoly, _sum_polys, symmetric_ideal_membership
@@ -287,22 +287,27 @@ def expand_phi2_symbolic(
     return _formal_sum(terms())
 
 
+def _pair_products(params) -> Callable:
+    """`expand_phi2_symbolic` at params as the `definitions` readers call it, once per depth."""
+    return definitions.termwise(lambda u, v: expand_phi2_symbolic(u, v, params))
+
+
 def phi3_symbolic(x1: FormalSum, x2: FormalSum, x3: FormalSum, params=None) -> FormalSum:
     """The alternating sum `definitions.PHI3_TERMS` of nested pair products over trace words."""
-    return definitions.alternating((x1, x2, x3), lambda u, v: expand_phi2_symbolic(u, v, params))
+    return definitions.alternating((x1, x2, x3), _pair_products(params))
 
 
 def phi4_symbolic(
     x1: FormalSum, x2: FormalSum, x3: FormalSum, x4: FormalSum, params=None
 ) -> FormalSum:
     """The alternating sum `definitions.PHI4_TERMS` of nested pair products over trace words."""
-    return definitions.alternating((x1, x2, x3, x4), lambda u, v: expand_phi2_symbolic(u, v, params))
+    return definitions.alternating((x1, x2, x3, x4), _pair_products(params))
 
 
 def cyclic_sum_symbolic(a: str, b: str, c: str, params=None) -> FormalSum:
     """The cyclic sum `definitions.JACOBI_TERMS` of nested pair products over trace words."""
     operands = [symbol_word(s) for s in (a, b, c)]
-    return definitions.nested_sum(definitions.JACOBI_TERMS, operands, lambda u, v: expand_phi2_symbolic(u, v, params))
+    return definitions.nested_sum(definitions.JACOBI_TERMS, operands, _pair_products(params))
 
 
 def closed_remainder_symbolic(a: str, b: str, c: str) -> FormalSum:
@@ -341,7 +346,7 @@ def verify_identity6_symbolic(params=None) -> Identity6Report:
     if params is None:
         params = constrained_params()
     syms = [symbol_word(s) for s in "ABCD"]
-    f = lambda u, v: expand_phi2_symbolic(u, v, params)
+    f = _pair_products(params)
     group_terms: dict[str, tuple[str, ...]] = {}
     group_pairs: dict[str, list] = {}
     for term in definitions.IDENTITY6_TERMS:

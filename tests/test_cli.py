@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tidlab.cli
+import tidlab.definitions
 import tidlab.graded
 import tidlab.matrixops
+import tidlab.tensors
 from tidlab.cli import CHECKS, RunConfig, _json_text, main, parse_seeds, parse_shapes
 from tidlab.graded import CROSSED, ChainConvention, convention_search
 from tidlab.matrixops import Phi2Params
@@ -721,6 +724,79 @@ def test_batched_residual_equals_single_seed_runs(name, settings):
     assert len(_SEEDS) > _BATCH  # the run spans several batches
     singles = [check.run(replace(cfg, seeds=(seed,))).residual for seed in _SEEDS]
     assert check.run(cfg).residual == max(singles)
+
+
+# each binary-route row and the seed count that gives it 40 trials, more than one batch of trials
+_FORTY_TRIALS = {"jacobi/numeric": 40, "identity6/numeric": 20, "phi4/numeric": 8, "appendix1/numeric": 40}
+
+
+@pytest.mark.parametrize("name, seeds", _FORTY_TRIALS.items())
+def test_stacked_depths_equal_the_termwise_reading(monkeypatch, name, seeds):
+    """A depth stacked into one `_phi2` call gives each trial the bytes of its terms read one by one."""
+    (check,) = [c for c in CHECKS if c.name == name]
+    cfg = RunConfig(seeds=tuple(range(1, seeds + 1)))
+    body = lambda: [r.data.tobytes() for r, _ in check.body(cfg, tidlab.cli._Batch(cfg.dim, list(cfg.seeds)))]
+    stacked = body()
+    termwise = lambda p: tidlab.definitions.termwise(lambda x, y: tidlab.matrixops._phi2(x, y, p))
+    monkeypatch.setattr(tidlab.matrixops, "_depths", termwise)
+    assert len(stacked) == 40 > _BATCH
+    assert body() == stacked
+
+
+def _count_draws(monkeypatch) -> dict:
+    """Count the calls of the two public draw functions, by operand seed."""
+    drawn = {"mats": [], "pairs": []}
+    for module, name, kind in ((tidlab.tensors, "random_tensor", "mats"),
+                               (tidlab.graded, "random_graded_pair", "pairs")):
+        def counted(*args, draw=getattr(module, name), seeds=drawn[kind]):
+            seeds.append(args[-1])
+            return draw(*args)
+        monkeypatch.setattr(module, name, counted)
+    return drawn
+
+
+def test_a_run_draws_each_operand_once(monkeypatch, capsys):
+    drawn = _count_draws(monkeypatch)
+    for _ in range(2):  # the second run draws again: no draw outlives a run
+        assert main(["verify", "all", "--dim", "3", "--seeds", "1..3", "--json"]) == 0
+        assert (len(drawn["mats"]), len(drawn["pairs"])) == (12, 15)
+        drawn["mats"].clear()
+        drawn["pairs"].clear()
+    capsys.readouterr()
+
+
+def test_a_long_run_holds_one_seed_batch(monkeypatch, capsys):
+    batches = []
+
+    class Tracked(tidlab.cli._Batch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(weakref.ref(self))
+
+    held = []
+    drawn = _count_draws(monkeypatch)
+    draw = tidlab.tensors.random_tensor
+    monkeypatch.setattr(tidlab.tensors, "random_tensor",
+                        lambda *args: held.append(sum(b() is not None for b in batches)) or draw(*args))
+    monkeypatch.setattr(tidlab.cli, "_Batch", Tracked)
+    assert main(["verify", "all", "--mode", "numeric", "--dim", "2", "--seeds", "1..70", "--json"]) == 0
+    capsys.readouterr()
+    assert sorted(drawn["mats"]) == [10 * seed + i for seed in range(1, 71) for i in range(4)]
+    assert sorted(drawn["pairs"]) == [10 * seed + i for seed in range(1, 71) for i in range(5)]
+    assert len(batches) == 3 and max(held) == 1
+
+
+def test_verify_all_rows_equal_each_suite_alone(capsys):
+    # 40 seeds: two seed batches, whose draws the rows of the run share
+    grid = ["--mode", "numeric", "--dim", "3", "--seeds", "1..40", "--json"]
+    code, out, _ = run(capsys, ["verify", "all", *grid])
+    assert code == 0
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert len(rows) == 6
+    for name, row in rows.items():
+        code, alone, _ = run(capsys, ["verify", name.split("/")[0], *grid])
+        assert code == 0
+        assert json.loads(alone)["checks"] == [row], name
 
 
 class _Level(enum.IntEnum):

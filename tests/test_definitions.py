@@ -322,22 +322,54 @@ _ATOMS = [_Trees({s: 1}) for s in "ABCD"]
 def test_readers_give_the_documented_trees():
     # the notation alone, in a ring where every tree is its own basis element
     read = tidlab.definitions
-    assert read.alternating(_ATOMS[:3], _magma_product) == {"((BC)A)": 1, "((AC)B)": -1, "((AB)C)": 1}
-    assert read.alternating(_ATOMS, _magma_product) == {
+    pair, triple = read.termwise(_magma_product), read.termwise(_magma_triple)  # the readers call once per depth
+    assert read.alternating(_ATOMS[:3], pair) == {"((BC)A)": 1, "((AC)B)": -1, "((AB)C)": 1}
+    assert read.alternating(_ATOMS, pair) == {
         "(((CD)B)A)": 1, "(((BD)C)A)": -1, "(((BC)D)A)": 1,
         "(((CD)A)B)": -1, "(((AD)C)B)": 1, "(((AC)D)B)": -1,
         "(((BD)A)C)": 1, "(((AD)B)C)": -1, "(((AB)D)C)": 1,
         "(((BC)A)D)": -1, "(((AC)B)D)": 1, "(((AB)C)D)": -1,
     }
-    assert read.nested_sum(read.JACOBI_TERMS, _ATOMS[:3], _magma_product) == {"((AB)C)": 1, "((BC)A)": 1, "((CA)B)": 1}
-    assert read.nested_sum(read.IDENTITY6_TERMS, _ATOMS, _magma_product, 2)["(((CB)D)A)"] == 1
+    assert read.nested_sum(read.JACOBI_TERMS, _ATOMS[:3], pair) == {"((AB)C)": 1, "((BC)A)": 1, "((CA)B)": 1}
+    assert read.nested_sum(read.IDENTITY6_TERMS, _ATOMS, pair, 2)["(((CB)D)A)"] == 1
     # arity 3: each step brackets the value so far with the next two letters
     atoms = _ATOMS + [_Trees({"E": 1})]
-    assert read.nested_sum(read.CYCLIC16_TERMS, atoms[:3], _magma_triple, 3) == {"(ABC)": 1, "(CAB)": 1, "(BCA)": 1}
-    trees = read.nested_sum(read.IDENTITY18_TERMS, atoms, _magma_triple, 3)
+    assert read.nested_sum(read.CYCLIC16_TERMS, atoms[:3], triple, 3) == {"(ABC)": 1, "(CAB)": 1, "(BCA)": 1}
+    trees = read.nested_sum(read.IDENTITY18_TERMS, atoms, triple, 3)
     assert trees == {f"(({term[:3]}){term[3:]})": 1 for term in read.IDENTITY18_TERMS}
     assert len(trees) == 20 and "((ABC)DE)" in trees and "((ECA)DB)" in trees
     assert read.signed_sum([(-1, _ATOMS[0]), (1, _ATOMS[1]), (-1, _ATOMS[0])]) == {"A": -2, "B": 1}
+
+
+def _counted(product, calls: list):
+    """`product` as a depth call that records the entry count of each argument sequence."""
+    def depth(*columns):
+        calls.append(tuple(map(len, columns)))
+        return product(*columns)
+    return depth
+
+
+_D = tidlab.definitions
+_ATOMS5 = _ATOMS + [_Trees({"E": 1})]
+
+
+# each reader on its table: (the reading, the product's arity, the entry counts of each depth call)
+@pytest.mark.parametrize(
+    "read, arity, want",
+    [
+        (lambda p: _D.nested_sum(_D.IDENTITY18_TERMS, _ATOMS5, p, 3), 3, [(20,) * 3] * 2),
+        (lambda p: _D.nested_sum(_D.IDENTITY6_TERMS, _ATOMS, p), 2, [(12, 12)] * 3),
+        (lambda p: _D.nested_sum(_D.JACOBI_TERMS, _ATOMS[:3], p), 2, [(3, 3)] * 2),
+        (lambda p: _D.nested_sum(_D.CYCLIC16_TERMS, _ATOMS[:3], p, 3), 3, [(3,) * 3]),
+        (lambda p: _D.alternating(_ATOMS, p), 2, [(12, 12), (12, 12), (4, 4)]),
+        (lambda p: _D.alternating(_ATOMS[:3], p), 2, [(3, 3), (3, 3)]),
+    ],
+    ids=["identity18", "identity6", "jacobi", "cyclic16", "phi4", "phi3"],
+)
+def test_readers_call_the_product_once_per_depth(read, arity, want):
+    calls = []
+    read(_counted(_D.termwise({2: _magma_product, 3: _magma_triple}[arity]), calls))
+    assert calls == want
 
 
 def test_both_routes_agree_by_value_where_the_identities_do_not_vanish():

@@ -32,7 +32,7 @@ ALL = {
         "HIGH", "LOW", "JACOBI_TERMS", "CLOSED_REMAINDER_TERMS", "IDENTITY6_TERMS", "BRACKET_WORD_ORDER",
         "CYCLIC16_TERMS", "IDENTITY18_TERMS", "OMEGA", "PRODUCT_FAMILY", "ZERO_SUM_FAMILY",
         "CANONICAL_WEIGHT_POWERS", "PHI3_TERMS", "PHI4_TERMS", "family_member", "signed_sum", "alternating",
-        "nested_sum",
+        "nested_sum", "termwise",
     },
     "diagrams": {
         "UPPER", "LOWER", "SlotRef", "ContractionDiagram", "EnumOptions", "UNORDERED_CONNECTED",

@@ -177,6 +177,23 @@ def test_random_tensor_entries_in_range():
     assert np.all(np.abs(t.data.imag) <= 1.0)
 
 
+def test_draws_are_the_scalar_stream():
+    # one uniform call per draw yields the doubles scalar calls would, in the same order
+    for seed, shape in itertools.product(range(100), (MAT, TensorShape(1, 2), TensorShape(2, 1))):
+        rng = np.random.default_rng(seed)
+        re, im = ([rng.uniform(-1.0, 1.0) for _ in range(3 ** shape.order)] for _ in range(2))
+        want = (np.array(re) + 1j * np.array(im)).reshape((3,) * shape.order)
+        assert tensors._random_draw(np.random.default_rng(seed), shape, 3).data.tobytes() == want.tobytes()
+    for seed, family in itertools.product(range(100), (definitions.PRODUCT_FAMILY, definitions.ZERO_SUM_FAMILY)):
+        rng = np.random.default_rng(seed)
+        names = dict.fromkeys(name for terms in family.values() for _, name in terms)
+        values = {name: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for name in names}
+        got = tensors._random_member(family, seed)
+        assert {k: (v.real.hex(), v.imag.hex()) for k, v in got.items()} == {
+            k: (v.real.hex(), v.imag.hex()) for k, v in definitions.family_member(family, values).items()
+        }
+
+
 def test_json_roundtrip():
     t = random_tensor(TensorShape(2, 1), 2, 17)
     back = DenseTensor.from_json(t.to_json())
