@@ -151,80 +151,115 @@ def _rand_params(seed: int) -> Phi2Params:
     return _unit(Phi2Params(**_random_member(definitions.PRODUCT_FAMILY, seed)))
 
 
-class _Batch:
-    """One batch of seeds and their operands, each drawn on its first read.
+def _rand_param_columns(seeds: list[int]) -> Phi2Params:
+    """`_rand_params` of each seed as (n, 1, 1) columns, the doubles of `_columns` of those Phi2Params.
 
-    Operand i of a seed is drawn with seed 10·seed + i (`_trial_seeds`), so every
-    numeric row of a run shares each seed's matrices and graded pairs, and a row
-    that needs fewer operands reads their prefix.
+    Each seed's free parameters are the same `default_rng(seed)` draws, read
+    through `definitions.family_member` on whole columns.  `_unit` takes each
+    trial's top modulus with Python's `abs` (numpy's complex `abs` differs in
+    the last bit), and the real and imaginary parts are divided as floats.
+    """
+    import numpy as np
+
+    from .tensors import _free_draws
+
+    family = definitions.PRODUCT_FAMILY
+    drawn = [_free_draws(family, s) for s in seeds]
+    draws = np.array([parts for _, parts in drawn]).view(np.complex128)[..., 0]  # (n, k): each (re, im) one complex
+    members = definitions.family_member(family, dict(zip(drawn[0][0], draws.T)))
+    tops = np.array([max(map(abs, trial)) or 1.0 for trial in zip(*(m.tolist() for m in members.values()))])
+    columns = {}
+    for name, m in members.items():
+        column = np.empty_like(m)
+        column.real, column.imag = m.real / tops, m.imag / tops
+        columns[name] = column.reshape(-1, 1, 1)
+    return Phi2Params(**columns)
+
+
+class _Batch:
+    """One batch of seeds and their operands, each position stacked on its first read.
+
+    Operand i of a seed is drawn with seed 10·seed + i (`_trial_seeds`) through
+    `random_tensor` or `random_graded_pair`.  Position i of the batch is one
+    (parts, n, dim, ...) array with one seed per row (`matrixops._rows`): a
+    matrix is one part, a graded pair two.  Every numeric row of a run reads
+    these stacks, and a row that needs fewer operands reads their prefix.
     """
 
     def __init__(self, dim: int, seeds: list[int]):
-        self.dim, self.seeds, self._drawn = dim, seeds, {}
+        self.dim, self.seeds, self._stacks = dim, seeds, {}
 
-    def mats(self, seed: int, n: int) -> list:
+    def mats(self, n: int) -> list:
         from .matrixops import _MAT
         from .tensors import random_tensor
 
-        return self._read("mats", seed, n, lambda s: random_tensor(_MAT, self.dim, s))
+        return self._read("mats", n, lambda s: random_tensor(_MAT, self.dim, s))
 
-    def pairs(self, seed: int, n: int) -> list:
+    def pairs(self, n: int) -> list:
         from .graded import random_graded_pair
 
-        return self._read("pairs", seed, n, lambda s: random_graded_pair(self.dim, s))
+        return self._read("pairs", n, lambda s: random_graded_pair(self.dim, s))
 
-    def _read(self, kind: str, seed: int, n: int, draw: Callable) -> list:
+    def _read(self, kind: str, n: int, draw: Callable) -> list:
+        from .matrixops import _rows
         from .tensors import _trial_seeds
 
-        keys = [(kind, s) for s in _trial_seeds(seed, n)]
-        for key in keys:
-            if key not in self._drawn:
-                self._drawn[key] = draw(key[1])
-        return [self._drawn[key] for key in keys]
+        for i, column in enumerate(zip(*(_trial_seeds(seed, n) for seed in self.seeds))):
+            if (kind, i) not in self._stacks:
+                self._stacks[kind, i] = _rows([draw(s) for s in column])
+        return [self._stacks[kind, i] for i in range(n)]
 
 
 def _jacobi_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
-    from .matrixops import _evaluate, _jacobi
+    from .matrixops import _jacobi
+    from .tensors import _columns
 
-    return _evaluate(_jacobi, ((batch.mats(seed, 3), _unit(cfg.params)) for seed in batch.seeds))
+    mats = batch.mats(3)
+    yield _jacobi(*mats, _columns([_unit(cfg.params)] * len(batch.seeds), 2)), mats
 
 
 def _identity6_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
-    from .matrixops import _evaluate, _identity6
+    from .matrixops import _identity6
+    from .tensors import _columns
 
-    trials = ((mats, params) for seed in batch.seeds for mats in [batch.mats(seed, 4)]
-              for params in (Phi2Params.traced_commutator(), _rand_params(seed)))
-    return _evaluate(_identity6, trials)
+    mats = batch.mats(4)
+    for params in (_columns([Phi2Params.traced_commutator()] * len(batch.seeds), 2), _rand_param_columns(batch.seeds)):
+        yield _identity6(*mats, params), mats
 
 
 def _phi4_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
-    from .matrixops import _alternating, _evaluate
+    from .matrixops import _alternating
 
-    trials = ((mats, _rand_params(seed * 1000 + k)) for seed in batch.seeds for mats in [batch.mats(seed, 4)]
-              for k in range(_PHI4_DRAWS))
-    return _evaluate(_alternating, trials)
+    mats = batch.mats(4)
+    for k in range(_PHI4_DRAWS):
+        yield _alternating(*mats, _rand_param_columns([seed * 1000 + k for seed in batch.seeds])), mats
 
 
 def _appendix1_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
-    from .matrixops import _evaluate, _jacobi, closed_remainder
+    from .matrixops import _closed_remainder, _jacobi
+    from .tensors import _columns
 
-    trials = ((batch.mats(seed, 3), Phi2Params.traced_commutator()) for seed in batch.seeds)
-    for res, mats in _evaluate(_jacobi, trials):
-        yield res - closed_remainder(*mats), mats
+    mats = batch.mats(3)
+    params = _columns([Phi2Params.traced_commutator()] * len(batch.seeds), 2)
+    yield _jacobi(*mats, params) - _closed_remainder(*mats), mats
 
 
 def _cyclic16_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
-    from .graded import _cyclic, _evaluate
+    from .graded import _cyclic
+    from .tensors import _columns
 
-    trials = ((batch.pairs(seed, 3), _unit(cfg.ternary_weights(seed))) for seed in batch.seeds)
-    return _evaluate(_cyclic, trials, cfg.convention)
+    pairs = batch.pairs(3)
+    weights = _columns([_unit(cfg.ternary_weights(s)) for s in batch.seeds], 3)
+    yield _cyclic(*pairs, weights, cfg.convention), pairs
 
 
 def _identity18_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
-    from .graded import _evaluate, _identity18
+    from .graded import _identity18
+    from .tensors import _columns
 
-    trials = ((batch.pairs(seed, 5), _unit(cfg.ternary_weights(seed))) for seed in batch.seeds)
-    return _evaluate(_identity18, trials, cfg.convention)
+    pairs = batch.pairs(5)
+    weights = _columns([_unit(cfg.ternary_weights(s)) for s in batch.seeds], 3)
+    yield _identity18(*pairs, weights, cfg.convention), pairs
 
 
 def _identity6_symbolic(cfg: RunConfig) -> tuple[bool, str]:
@@ -287,10 +322,10 @@ _CONSTRAINED = (("params", "beta=-alpha, delta=-gamma"),)
 class Check:
     """One row of the check table.
 
-    `body(cfg, batch)` of a numeric row returns the (residual, operands)
-    trials of the batch's seeds in seed order, evaluated in batches of
-    trials, for `worst_residual`; `body(cfg)` of a symbolic row returns
-    (passed, digest).  `reads` names the settings the body reads; the report
+    `body(cfg, batch)` of a numeric row yields the (result, operands)
+    evaluations of the batch's seeds, stacked arrays with one trial per row,
+    for `matrixops._worst`; `body(cfg)` of a symbolic row returns (passed,
+    digest).  `reads` names the settings the body reads; the report
     params show them, then the fixed `notes`.
     """
 
@@ -332,19 +367,20 @@ def _run_checks(checks: list[Check], cfg: RunConfig) -> list[CheckReport]:
     The numeric rows run together over batches of at most `_BATCH` seeds.  A
     batch's operands are drawn once and shared by every row, and the batch is
     dropped before the next is drawn, so memory stays bounded at any seed
-    count.  A row's residual is the worst over its batches.
+    count.  A row's residual is the worst over its batches, each batch's
+    trials measured together.
     """
     outcome, elapsed = {}, dict.fromkeys(checks, 0.0)
     numeric = [c for c in checks if c.kind == "numeric"]
     if numeric:
-        from .matrixops import worst_residual
+        from .matrixops import _worst
         from .tensors import _batches
 
         for seeds in _batches(cfg.seeds):
             batch = _Batch(cfg.dim, seeds)
             for c in numeric:
                 start = time.perf_counter()
-                outcome[c] = max(outcome.get(c, 0.0), worst_residual(c.body(cfg, batch)))
+                outcome[c] = max(outcome.get(c, 0.0), _worst(c.body(cfg, batch)))
                 elapsed[c] += time.perf_counter() - start
     for c in checks:
         if c.kind != "numeric":

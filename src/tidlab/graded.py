@@ -7,10 +7,11 @@ twelve alternating words is the sum of the two end-to-end chain contractions
 over the word, so the bracket is defined by 24 contraction terms.
 `three_commutator` computes them with two chain calls, one per word kind, on
 the kind's six words stacked on the batch axis; its docstring says why that is
-the same sum.  The readers' depth calls run here term by term
-(`definitions.termwise`): stacking a depth of twenty brackets holds all their
-chain temporaries at once, which raised the peak memory of `verify all` by
-about 6%.
+the same sum.  The readers' depth calls stack a depth's brackets on the trial
+axis while each call's six-word stack stays within `_STACK_BYTES` (64 KiB), so
+a one-seed identity18 at dim 3 is two bracket calls; a larger batch or
+dimension runs one bracket per call, because stacks past about 200 KiB cost
+more in freshly faulted pages than the saved calls.
 
 Which upper leg of one operand meets which lower leg of the next in the
 doubled chain edge is not determined by the chain's diagram class; that
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import definitions
 from .definitions import CANONICAL_CONVENTION, CROSSED, HIGH, LOW, OMEGA, PARALLEL, ChainConvention
 from .diagrams import ContractionDiagram, TensorShape
-from .matrixops import relative_residual, worst_residual
+from .matrixops import _rows, _worst, relative_residual
 from .tensors import (
     DenseTensor, _batches, _columns, _random_draw, _random_member, _stack, _trial_seeds
 )
@@ -245,14 +245,42 @@ def _three_commutator(x, y, z, weights, convention):
     return out
 
 
+# A depth's brackets share one `_three_commutator` call while one word stack of the call, six words of
+# every trial row, stays within this many bytes (rows x d^3 x 6 x 16 B).  Stacking whole depths made
+# identity18 slower at dim 8 and at dim 3 with 20 seeds: each call past about 200 KiB of stacks faulted
+# in hundreds of fresh pages.
+_STACK_BYTES = 64 * 1024
+
+
+def _depths(weights, convention):
+    """The bracket as the `definitions` readers call it, once per nesting depth.
+
+    The depth's entries are stacked on the trial axis, as many to a
+    `_three_commutator` call as keep its word stacks within `_STACK_BYTES`,
+    the weight columns repeated once per entry.  A bracket computes row by
+    row, so each entry is bit-identical to its own call.
+    """
+    def product(xs, ys, zs):
+        per_call = _STACK_BYTES // (6 * 16 * xs[0][0].size)
+        if per_call < 2:
+            return [_three_commutator(x, y, z, weights, convention) for x, y, z in zip(xs, ys, zs)]
+        out = []
+        for i in range(0, len(xs), per_call):
+            k = len(xs[i:i + per_call])
+            x, y, z = (np.concatenate(a[i:i + per_call], axis=1) for a in (xs, ys, zs))
+            tiled = type(weights)(*(np.concatenate([w] * k) for w in vars(weights).values()))
+            out += np.split(_three_commutator(x, y, z, tiled, convention), k, axis=1)
+        return out
+
+    return product
+
+
 def _cyclic(x, y, z, weights, convention):
-    bracket = definitions.termwise(partial(_three_commutator, weights=weights, convention=convention))
-    return definitions.nested_sum(definitions.CYCLIC16_TERMS, (x, y, z), bracket, 3)
+    return definitions.nested_sum(definitions.CYCLIC16_TERMS, (x, y, z), _depths(weights, convention), 3)
 
 
 def _identity18(a, b, c, d, e, weights, convention):
-    bracket = definitions.termwise(partial(_three_commutator, weights=weights, convention=convention))
-    return definitions.nested_sum(definitions.IDENTITY18_TERMS, (a, b, c, d, e), bracket, 3)
+    return definitions.nested_sum(definitions.IDENTITY18_TERMS, (a, b, c, d, e), _depths(weights, convention), 3)
 
 
 def _evaluate(fn, trials, convention: ChainConvention):
@@ -308,12 +336,17 @@ def convention_search(
     if dim < 2:
         raise ValueError(f"convention search needs dim >= 2, got {dim}; at dim 1 every convention is the same")
     weights = TernaryWeights.canonical()
-    draws = [[random_graded_pair(dim, s) for s in _trial_seeds(seed, 5)] for seed in seeds]
+    # each seed batch's five pair positions, stacked once and read by every convention
+    batches = []
+    for chunk in _batches(seeds):
+        columns = zip(*(_trial_seeds(seed, 5) for seed in chunk))
+        pairs = [_rows([random_graded_pair(dim, s) for s in column]) for column in columns]
+        batches.append((pairs, _columns([weights] * len(chunk), 3)))
     trials = []
     survivors = []
     for conv in ChainConvention.all_conventions():
-        c_max = worst_residual(_evaluate(_cyclic, ((vals[:3], weights) for vals in draws), conv))
-        i_max = worst_residual(_evaluate(_identity18, ((vals, weights) for vals in draws), conv))
+        c_max = _worst((_cyclic(*pairs[:3], w, conv), pairs[:3]) for pairs, w in batches)
+        i_max = _worst((_identity18(*pairs, w, conv), pairs) for pairs, w in batches)
         trial = ConventionTrial(conv, c_max, i_max)
         trials.append(trial)
         if trial.passes(tolerance):

@@ -82,12 +82,14 @@ def identity6_residual(
     return _one(_identity6, (a, b, c, d), p)
 
 
-# The implementations run on (n, dim, dim) arrays, one trial per row, with p's
-# fields as (n, 1, 1) columns (see `_evaluate`).
+# The implementations run on (..., n, dim, dim) arrays, one trial per row of
+# the trial axis n, with p's fields as (n, 1, 1) columns (see `_evaluate`).  A
+# verify run passes each operand as one (1, n, dim, dim) stack, the layout
+# `_relative_residuals` reads.
 
 
 def _phi2(a, b, p):
-    """phi2 on (n, dim, dim) batches, or on (k, n, dim, dim) stacks of k such batches sharing p's columns."""
+    """phi2 on (..., n, dim, dim) batches: any leading axes, such as a depth's k entries, share p's columns."""
     rows = lambda x: x.reshape(-1, *x.shape[-2:])
     # not astuple(p): it deep-copies, and phi2 is the innermost numeric call
     weights = (p.alpha, p.beta, p.gamma, p.delta)
@@ -139,35 +141,75 @@ def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTen
             raise ValueError(f"{name} must be a (1,1) tensor, got {t.shape}")
     if not a.dim == b.dim == c.dim:
         raise ValueError(f"operands have mixed dimensions: {a.dim}, {b.dim}, {c.dim}")
-    m = {"A": a.data, "B": b.data, "C": c.data}
-    terms = [np.trace(m[t]) * (m[p] @ m[q] - m[r] @ m[s]) for t, (p, q), (r, s) in definitions.CLOSED_REMAINDER_TERMS]
-    return DenseTensor(_MAT, a.dim, sum(terms[1:], terms[0]))
+    return DenseTensor(_MAT, a.dim, _closed_remainder(a.data, b.data, c.data))
+
+
+def _closed_remainder(a, b, c):
+    """`closed_remainder` on (..., dim, dim) batches, one matmul per product."""
+    m = {"A": a, "B": b, "C": c}
+    trace = lambda x: np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+    terms = [trace(m[t]) * (m[p] @ m[q] - m[r] @ m[s]) for t, (p, q), (r, s) in definitions.CLOSED_REMAINDER_TERMS]
+    return sum(terms[1:], terms[0])
+
+
+def _relative_residuals(result, operands) -> np.ndarray:
+    """Each trial's relative residual: ‖result‖ / Π max(‖operand‖, tiny).
+
+    Every array is (parts, n, dim, ...) with one trial per row of axis 1: a
+    matrix is one part, a graded pair two (low, high), and a trial's norm is
+    the Frobenius norm over its parts.  Each row is summed on its own, so a
+    trial's residual does not depend on the batch it ran in.
+    """
+    def norms(x):
+        flat = x.reshape(len(x), x.shape[1], -1).view(np.float64)
+        return np.sqrt((flat * flat).sum(axis=2).sum(axis=0))
+
+    scale = 1.0
+    for x in operands:
+        scale = scale * np.maximum(norms(x), np.finfo(float).tiny)
+    return norms(result) / scale
+
+
+def _worst(evaluations: Iterable[tuple]) -> float:
+    """The largest `_relative_residuals` over (result, operands) evaluations.
+
+    Fails closed: a NaN or infinite residual in any row makes the result
+    `math.inf`, which no tolerance passes (`max` and `np.fmax` drop a NaN),
+    and so does an empty stream, since no trial is no evidence.
+    """
+    worst = None
+    for result, operands in evaluations:
+        r = _relative_residuals(result, operands)
+        if not np.isfinite(r).all():
+            return math.inf
+        top = float(r.max())
+        worst = top if worst is None else max(worst, top)
+    return math.inf if worst is None else worst
+
+
+def _rows(values: Sequence) -> np.ndarray:
+    """`DenseTensor`s or `GradedPair`s as one (parts, n, dim, ...) array, one value
+    per row of axis 1: a tensor is one part, a pair two (low, high)."""
+    parts = [(v,) if isinstance(v, DenseTensor) else (v.low, v.high) for v in values]
+    return np.stack([np.stack([t.data for t in column]) for column in zip(*parts)])
 
 
 def relative_residual(residual, operands: Sequence) -> float:
     """Residual norm scaled by the product of operand norms.
 
     The identities are multilinear of the operands' degree, so this is the
-    scale-invariant error measure used by every tolerance in the suite.  Any
-    values with a `norm()` work: `DenseTensor`s or `GradedPair`s.
+    scale-invariant error measure used by every tolerance in the suite.  The
+    values are `DenseTensor`s or `GradedPair`s; this is a batch of one of
+    the batched measure every verify row and the convention search read.
     """
-    scale = 1.0
-    for t in operands:
-        scale *= max(t.norm(), np.finfo(float).tiny)
-    return residual.norm() / scale
+    return float(_relative_residuals(_rows([residual]), [_rows([t]) for t in operands])[0])
 
 
 def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
     """The largest `relative_residual` over (residual, operands) trials.
 
-    Fails closed: a NaN or infinite residual makes the result `math.inf`, which
-    no tolerance passes (a plain `max` would drop a NaN), and so does an empty
-    stream, since no trial is no evidence.
+    Each trial is a batch of one of the batched measure.  Fails closed: a NaN
+    or infinite residual makes the result `math.inf`, which no tolerance
+    passes, and so does an empty stream, since no trial is no evidence.
     """
-    worst = None
-    for residual, operands in trials:
-        r = relative_residual(residual, operands)
-        if not math.isfinite(r):
-            return math.inf
-        worst = r if worst is None else max(worst, r)
-    return math.inf if worst is None else worst
+    return _worst((_rows([residual]), [_rows([t]) for t in operands]) for residual, operands in trials)

@@ -229,15 +229,26 @@ _BATCH_LABEL = (51,)
 def _contract(diagram: ContractionDiagram, arrays: list[np.ndarray]) -> np.ndarray:
     """`apply_diagram` on batches: each array is (n, dim, ...), one trial per row.
 
-    The diagram is one einsum.  For three or more operands numpy chooses the
-    pairwise order (`optimize`), so no diagram pays one loop over all of its
-    labels; a diagram of one or two operands is a plain einsum, which computes
-    row by row, so each row is bit-identical to a batch of one.
+    The diagram is one einsum.  For three or more operands numpy's greedy
+    pairwise order (`_einsum_path`) runs, so no diagram pays one loop over all
+    of its labels; a diagram of one or two operands is a plain einsum, which
+    computes row by row, so each row is bit-identical to a batch of one.
     """
     subs, out_sub = _einsum_plan(diagram)
     n = _BATCH_LABEL
     args = [x for a, s in zip(arrays, subs) for x in (a, n + s)]
-    return np.einsum(*args, n + out_sub, optimize=len(arrays) > 2)
+    path = len(arrays) > 2 and _einsum_path(diagram, tuple(a.shape for a in arrays))
+    return np.einsum(*args, n + out_sub, optimize=path)
+
+
+@lru_cache(maxsize=256)  # keyed by caller-chosen shapes, so bounded
+def _einsum_path(diagram: ContractionDiagram, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The pairwise order `np.einsum(optimize=True)` picks for the diagram on
+    arrays of these shapes, searched once instead of on every call."""
+    subs, out_sub = _einsum_plan(diagram)
+    n = _BATCH_LABEL
+    args = [x for shape, s in zip(shapes, subs) for x in (np.empty(shape, np.complex128), n + s)]
+    return tuple(np.einsum_path(*args, n + out_sub, optimize="greedy")[0])
 
 
 def apply_diagram(
@@ -311,11 +322,16 @@ def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> Dens
 
 
 def _random_member(family, seed: int) -> dict[str, complex]:
-    """A random member of a `definitions` family: its free parameters are drawn in one call,
-    in order of first use, real then imaginary part of each uniform in [-1, 1]."""
-    names = dict.fromkeys(name for terms in family.values() for _, name in terms)
-    parts = np.random.default_rng(seed).uniform(-1, 1, (len(names), 2))
+    """A random member of a `definitions` family at the free parameters `_free_draws` draws."""
+    names, parts = _free_draws(family, seed)
     return family_member(family, {name: complex(re, im) for name, (re, im) in zip(names, parts)})
+
+
+def _free_draws(family, seed: int) -> tuple[list[str], np.ndarray]:
+    """A family's free parameters in order of first use, and their (k, 2) draws from one call:
+    real then imaginary part of each uniform in [-1, 1]."""
+    names = list(dict.fromkeys(name for terms in family.values() for _, name in terms))
+    return names, np.random.default_rng(seed).uniform(-1, 1, (len(names), 2))
 
 
 def _trial_seeds(seed: int, n: int) -> list[int]:

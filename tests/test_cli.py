@@ -22,9 +22,9 @@ import tidlab.graded
 import tidlab.matrixops
 import tidlab.tensors
 from tidlab.cli import CHECKS, RunConfig, _json_text, main, parse_seeds, parse_shapes
-from tidlab.graded import CROSSED, ChainConvention, convention_search
+from tidlab.graded import CROSSED, ChainConvention, GradedPair, convention_search
 from tidlab.matrixops import Phi2Params
-from tidlab.tensors import _BATCH, TensorShape
+from tidlab.tensors import _BATCH, DenseTensor, TensorShape, _batches
 
 
 def run(capsys, argv):
@@ -328,7 +328,8 @@ def _no_constant(name):
 
 
 def test_nan_residual_fails_closed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tidlab.matrixops, "relative_residual", lambda residual, operands: math.nan)
+    # every numeric verdict and the convention search read the one batched residual
+    monkeypatch.setattr(tidlab.matrixops, "_relative_residuals", lambda result, operands: np.full(result.shape[1], math.nan))
     code, out, _ = run(capsys, ["verify", "jacobi", "--dim", "2", "--seeds", "1..2", "--json"])
     assert code == 1
     (check,) = json.loads(out, parse_constant=_no_constant)["checks"]
@@ -344,6 +345,40 @@ def test_nan_residual_fails_closed(tmp_path, capsys, monkeypatch):
         descriptor = json.loads(text, parse_constant=_no_constant)
         assert descriptor["pairings"] is None and descriptor["survivors"] == []
         assert not any(t["pass"] for t in descriptor["trials"])
+
+
+def _poison(monkeypatch, module, name, seed, value):
+    """Give the draw of operand seed `seed` one non-finite entry."""
+    draw = getattr(module, name)
+
+    def poisoned(*args):
+        x = draw(*args)
+        if args[-1] != seed:
+            return x
+        bad = lambda t: DenseTensor(t.shape, t.dim, np.where(np.arange(t.data.size).reshape(t.data.shape) == 0, value, t.data))
+        return bad(x) if isinstance(x, DenseTensor) else GradedPair(bad(x.low), x.high)
+
+    monkeypatch.setattr(module, name, poisoned)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("seed", [1, 20], ids=["first-row", "last-row"])
+@pytest.mark.parametrize("suite", ["jacobi", "identity18"])
+def test_one_non_finite_trial_of_twenty_fails_closed(capsys, monkeypatch, suite, seed, value):
+    # one seed of 20 carries a non-finite operand; no reduction over the batch may drop its residual
+    module, name = (tidlab.graded, "random_graded_pair") if suite == "identity18" else (tidlab.tensors, "random_tensor")
+    _poison(monkeypatch, module, name, 10 * seed, value)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and inf * 0 are the point here
+        code, out, _ = run(capsys, ["verify", suite, "--mode", "numeric", "--dim", "2", "--seeds", "1..20", "--json"])
+    assert code == 1
+    (check,) = json.loads(out, parse_constant=_no_constant)["checks"]
+    assert check["pass"] is False
+    assert check["residual"] is None and check["digest"] == "non-finite residual"
+    if suite == "identity18":
+        with np.errstate(invalid="ignore", over="ignore"):
+            trials, survivors = convention_search(dim=2, seeds=tuple(range(1, 21)))
+        assert survivors == []
+        assert all(t.cyclic_max == t.identity18_max == math.inf for t in trials)
 
 
 def test_verify_null_descriptor_usage_error(tmp_path, capsys):
@@ -726,21 +761,56 @@ def test_batched_residual_equals_single_seed_runs(name, settings):
     assert check.run(cfg).residual == max(singles)
 
 
-# each binary-route row and the seed count that gives it 40 trials, more than one batch of trials
-_FORTY_TRIALS = {"jacobi/numeric": 40, "identity6/numeric": 20, "phi4/numeric": 8, "appendix1/numeric": 40}
+# each binary-route row and the seed count that gives it 40 trials, more than one batch of trials,
+# and each ternary row at one seed, where a depth's brackets share one call; with the trial count
+_STACKED_CASES = {"jacobi/numeric": (40, 40), "identity6/numeric": (20, 40), "phi4/numeric": (8, 40),
+                  "appendix1/numeric": (40, 40), "cyclic16/numeric": (1, 1), "identity18/numeric": (1, 1)}
 
 
-@pytest.mark.parametrize("name, seeds", _FORTY_TRIALS.items())
-def test_stacked_depths_equal_the_termwise_reading(monkeypatch, name, seeds):
-    """A depth stacked into one `_phi2` call gives each trial the bytes of its terms read one by one."""
+@pytest.mark.parametrize("name, seeds, trials", [pytest.param(name, seeds, trials, id=f"{name}-{seeds}")
+                                                  for name, (seeds, trials) in _STACKED_CASES.items()])
+def test_stacked_depths_equal_the_termwise_reading(monkeypatch, name, seeds, trials):
+    """A depth stacked into one `_phi2` or `_three_commutator` call gives each trial the bytes of its terms read one by one."""
     (check,) = [c for c in CHECKS if c.name == name]
     cfg = RunConfig(seeds=tuple(range(1, seeds + 1)))
-    body = lambda: [r.data.tobytes() for r, _ in check.body(cfg, tidlab.cli._Batch(cfg.dim, list(cfg.seeds)))]
+
+    def body():
+        # the seed batches of a run, and each trial's row of every evaluation a body yields
+        batches = (tidlab.cli._Batch(cfg.dim, chunk) for chunk in _batches(cfg.seeds))
+        return [r[:, i].tobytes() for b in batches for r, _ in check.body(cfg, b) for i in range(r.shape[1])]
+
     stacked = body()
-    termwise = lambda p: tidlab.definitions.termwise(lambda x, y: tidlab.matrixops._phi2(x, y, p))
-    monkeypatch.setattr(tidlab.matrixops, "_depths", termwise)
-    assert len(stacked) == 40 > _BATCH
+    termwise = tidlab.definitions.termwise
+    monkeypatch.setattr(tidlab.matrixops, "_depths", lambda p: termwise(lambda x, y: tidlab.matrixops._phi2(x, y, p)))
+    monkeypatch.setattr(tidlab.graded, "_depths",
+                        lambda w, c: termwise(lambda x, y, z: tidlab.graded._three_commutator(x, y, z, w, c)))
+    assert len(stacked) == trials
+    if trials > 1:
+        assert trials > _BATCH
     assert body() == stacked
+
+
+@pytest.mark.parametrize("dim, seeds, calls, rows", [(3, "1", 2, 20), (3, "1..20", 40, 20), (8, "1", 40, 1)])
+def test_small_ternary_depths_share_one_bracket_call(monkeypatch, capsys, dim, seeds, calls, rows):
+    # a depth's twenty brackets share a call only while its word stacks, rows x d^3 x 6 x 16 B, stay within 64 KiB
+    seen = []
+    bracket = tidlab.graded._three_commutator
+    monkeypatch.setattr(tidlab.graded, "_three_commutator", lambda x, *args: seen.append(x.shape[1]) or bracket(x, *args))
+    assert main(["verify", "identity18", "--mode", "numeric", "--dim", str(dim), "--seeds", seeds, "--json"]) == 0
+    capsys.readouterr()
+    assert seen == [rows] * calls
+
+
+def test_every_evaluation_holds_at_most_one_batch_of_trials(monkeypatch, capsys):
+    # phi4's five and identity6's two parameter draws per seed are separate evaluations
+    sizes = []
+    measure = tidlab.matrixops._relative_residuals
+    monkeypatch.setattr(tidlab.matrixops, "_relative_residuals",
+                        lambda result, operands: sizes.append(result.shape[1]) or measure(result, operands))
+    assert main(["verify", "all", "--mode", "numeric", "--dim", "2", "--seeds", "1..40", "--json"]) == 0
+    capsys.readouterr()
+    # per seed batch of 32 and then 8: jacobi, identity6 twice, phi4 five times, cyclic16, identity18, appendix1
+    assert sorted(sizes) == sorted([32] * 11 + [8] * 11)
 
 
 def _count_draws(monkeypatch) -> dict:

@@ -15,7 +15,9 @@ from tidlab.matrixops import _PHI2_DIAGRAMS, _evaluate, _jacobi, Phi2Params, phi
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
+    _BATCH_LABEL,
     _contract,
+    _einsum_path,
     _einsum_plan,
     apply_diagram,
     contract,
@@ -299,6 +301,21 @@ def test_apply_diagram_matches_outer_product_and_traces():
     assert cases == 3654
 
 
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_cached_einsum_path_gives_the_bytes_of_the_searched_one(dim):
+    # three or more operands: the path searched once per (diagram, shapes) is the one optimize=True finds
+    four = ContractionDiagram.from_matching((MAT,) * 4, [(0, 0, 1, 0), (1, 0, 2, 0), (2, 0, 3, 0)])
+    for diagram in (*_CHAINS.values(), four):
+        ops = [random_tensor(s, dim, seed) for seed, s in enumerate(diagram.operand_shapes)]
+        subs, out_sub = _einsum_plan(diagram)
+        args = [x for t, sub in zip(ops, subs) for x in (t.data[None], _BATCH_LABEL + sub)]
+        searched = np.einsum(*args, _BATCH_LABEL + out_sub, optimize=True)[0]
+        hits = _einsum_path.cache_info().hits
+        for _ in range(2):
+            assert apply_diagram(diagram, ops).data.tobytes() == searched.tobytes()
+        assert _einsum_path.cache_info().hits > hits
+
+
 def test_two_operand_diagrams_are_one_einsum_bit_for_bit():
     for d, ops in _diagrams_with_operands(([MAT, MAT], [HIGH, LOW]), (1, 2, 3)):
         assert np.array_equal(apply_diagram(d, ops).data, _single_einsum(d, ops)), d.to_json()
@@ -364,7 +381,9 @@ def test_contract_is_one_einsum(monkeypatch):
         arrays = [random_tensor(s, 2, i).data[None] for i, s in enumerate(d.operand_shapes)]
         calls.clear()
         _contract(d, arrays)
-        assert calls == [{"optimize": len(arrays) > 2}], d.to_json()
+        # three or more operands run the greedy path, searched once per (diagram, shapes)
+        path = len(arrays) > 2 and _einsum_path(d, tuple(a.shape for a in arrays))
+        assert calls == [{"optimize": path}], d.to_json()
     assert {len(d.operand_shapes) for d in diagrams} == {1, 2, 3, 4}
 
 
