@@ -151,39 +151,15 @@ def _rand_params(seed: int) -> Phi2Params:
     return _unit(Phi2Params(**_random_member(definitions.PRODUCT_FAMILY, seed)))
 
 
-def _rand_param_columns(seeds: list[int]) -> Phi2Params:
-    """`_rand_params` of each seed as (n, 1, 1) columns, the doubles of `_columns` of those Phi2Params.
-
-    Each seed's free parameters are the same `default_rng(seed)` draws, read
-    through `definitions.family_member` on whole columns.  `_unit` takes each
-    trial's top modulus with Python's `abs` (numpy's complex `abs` differs in
-    the last bit), and the real and imaginary parts are divided as floats.
-    """
-    import numpy as np
-
-    from .tensors import _free_draws
-
-    family = definitions.PRODUCT_FAMILY
-    drawn = [_free_draws(family, s) for s in seeds]
-    draws = np.array([parts for _, parts in drawn]).view(np.complex128)[..., 0]  # (n, k): each (re, im) one complex
-    members = definitions.family_member(family, dict(zip(drawn[0][0], draws.T)))
-    tops = np.array([max(map(abs, trial)) or 1.0 for trial in zip(*(m.tolist() for m in members.values()))])
-    columns = {}
-    for name, m in members.items():
-        column = np.empty_like(m)
-        column.real, column.imag = m.real / tops, m.imag / tops
-        columns[name] = column.reshape(-1, 1, 1)
-    return Phi2Params(**columns)
-
-
 class _Batch:
     """One batch of seeds and their operands, each position stacked on its first read.
 
     Operand i of a seed is drawn with seed 10·seed + i (`_trial_seeds`) through
     `random_tensor` or `random_graded_pair`.  Position i of the batch is one
-    (parts, n, dim, ...) array with one seed per row (`matrixops._rows`): a
-    matrix is one part, a graded pair two.  Every numeric row of a run reads
-    these stacks, and a row that needs fewer operands reads their prefix.
+    (parts, n, dim, ...) array with one seed per row, the layout of
+    `matrixops._relative_residuals`: a matrix is one part (`tensors._stack`),
+    a graded pair two (`graded._pair_stacks`).  Every numeric row of a run
+    reads these stacks, and a row that needs fewer operands reads their prefix.
     """
 
     def __init__(self, dim: int, seeds: list[int]):
@@ -191,22 +167,25 @@ class _Batch:
 
     def mats(self, n: int) -> list:
         from .matrixops import _MAT
-        from .tensors import random_tensor
+        from .tensors import _stack, random_tensor
 
-        return self._read("mats", n, lambda s: random_tensor(_MAT, self.dim, s))
+        # one part: the (1, n, dim, dim) stack
+        stack = lambda seeds: _stack([[random_tensor(_MAT, self.dim, s)] for s in seeds], (_MAT,))[1][0][None]
+        return self._read("mats", n, stack)
 
     def pairs(self, n: int) -> list:
-        from .graded import random_graded_pair
+        from .graded import _pair_stacks, random_graded_pair
 
-        return self._read("pairs", n, lambda s: random_graded_pair(self.dim, s))
+        stack = lambda seeds: _pair_stacks([[random_graded_pair(self.dim, s)] for s in seeds])[1][0]
+        return self._read("pairs", n, stack)
 
-    def _read(self, kind: str, n: int, draw: Callable) -> list:
-        from .matrixops import _rows
+    def _read(self, kind: str, n: int, stack: Callable) -> list:
+        """The first n positions; `stack` draws one position of the batch's seeds as one array."""
         from .tensors import _trial_seeds
 
         for i, column in enumerate(zip(*(_trial_seeds(seed, n) for seed in self.seeds))):
             if (kind, i) not in self._stacks:
-                self._stacks[kind, i] = _rows([draw(s) for s in column])
+                self._stacks[kind, i] = stack(column)
         return [self._stacks[kind, i] for i in range(n)]
 
 
@@ -223,16 +202,18 @@ def _identity6_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
     from .tensors import _columns
 
     mats = batch.mats(4)
-    for params in (_columns([Phi2Params.traced_commutator()] * len(batch.seeds), 2), _rand_param_columns(batch.seeds)):
-        yield _identity6(*mats, params), mats
+    traced = [Phi2Params.traced_commutator()] * len(batch.seeds)
+    for params in (traced, [_rand_params(s) for s in batch.seeds]):
+        yield _identity6(*mats, _columns(params, 2)), mats
 
 
 def _phi4_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
     from .matrixops import _alternating
+    from .tensors import _columns
 
     mats = batch.mats(4)
     for k in range(_PHI4_DRAWS):
-        yield _alternating(*mats, _rand_param_columns([seed * 1000 + k for seed in batch.seeds])), mats
+        yield _alternating(*mats, _columns([_rand_params(seed * 1000 + k) for seed in batch.seeds], 2)), mats
 
 
 def _appendix1_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:

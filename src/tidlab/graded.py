@@ -30,7 +30,7 @@ import numpy as np
 from . import definitions
 from .definitions import CANONICAL_CONVENTION, CROSSED, HIGH, LOW, OMEGA, PARALLEL, ChainConvention
 from .diagrams import ContractionDiagram, TensorShape
-from .matrixops import _rows, _worst, relative_residual
+from .matrixops import _worst, relative_residual
 from .tensors import (
     DenseTensor, _batches, _columns, _random_draw, _random_member, _stack, _trial_seeds
 )
@@ -283,20 +283,20 @@ def _identity18(a, b, c, d, e, weights, convention):
     return definitions.nested_sum(definitions.IDENTITY18_TERMS, (a, b, c, d, e), _depths(weights, convention), 3)
 
 
-def _evaluate(fn, trials, convention: ChainConvention):
-    """fn over (pairs, weights) trials in batches; yields (result, pairs) per trial, in order."""
-    for chunk in _batches(trials):
-        parts = [[c for x in pairs for c in (x.low, x.high)] for pairs, _ in chunk]
-        dim, arrays = _stack(parts, (_LOW_SHAPE, _HIGH_SHAPE) * len(chunk[0][0]))
-        args = [np.stack(pair) for pair in zip(arrays[::2], arrays[1::2])]
-        out = fn(*args, _columns([w for _, w in chunk], 3), convention)
-        for (pairs, _), low, high in zip(chunk, *out):
-            yield GradedPair(DenseTensor(_LOW_SHAPE, dim, low), DenseTensor(_HIGH_SHAPE, dim, high)), pairs
+def _pair_stacks(trials) -> tuple[int, list[np.ndarray]]:
+    """The pairs of a batch of trials as one (2, n, dim, dim, dim) array per position, and their dimension.
+
+    `_stack` checks that every pair has one dimension."""
+    parts = [[c for x in pairs for c in (x.low, x.high)] for pairs in trials]
+    dim, arrays = _stack(parts, (_LOW_SHAPE, _HIGH_SHAPE) * len(trials[0]))
+    return dim, [np.stack(pair) for pair in zip(arrays[::2], arrays[1::2])]
 
 
 def _one(fn, pairs, weights: TernaryWeights, convention: ChainConvention) -> GradedPair:
     """fn on one trial: the batch of one behind each public function."""
-    return next(_evaluate(fn, [(pairs, weights)], convention))[0]
+    dim, args = _pair_stacks([pairs])
+    low, high = fn(*args, _columns([weights], 3), convention)[:, 0]
+    return GradedPair(DenseTensor(_LOW_SHAPE, dim, low), DenseTensor(_HIGH_SHAPE, dim, high))
 
 
 # DenseTensor and GradedPair share the norm-based measure
@@ -339,8 +339,7 @@ def convention_search(
     # each seed batch's five pair positions, stacked once and read by every convention
     batches = []
     for chunk in _batches(seeds):
-        columns = zip(*(_trial_seeds(seed, 5) for seed in chunk))
-        pairs = [_rows([random_graded_pair(dim, s) for s in column]) for column in columns]
+        _, pairs = _pair_stacks([[random_graded_pair(dim, s) for s in _trial_seeds(seed, 5)] for seed in chunk])
         batches.append((pairs, _columns([weights] * len(chunk), 3)))
     trials = []
     survivors = []

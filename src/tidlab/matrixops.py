@@ -18,7 +18,7 @@ import numpy as np
 from . import definitions
 from .definitions import Phi2Params
 from .diagrams import ContractionDiagram, TensorShape
-from .tensors import DenseTensor, _batches, _columns, _contract, _stack
+from .tensors import DenseTensor, _columns, _contract, _stack
 
 __all__ = [
     "Phi2Params",
@@ -83,7 +83,7 @@ def identity6_residual(
 
 
 # The implementations run on (..., n, dim, dim) arrays, one trial per row of
-# the trial axis n, with p's fields as (n, 1, 1) columns (see `_evaluate`).  A
+# the trial axis n, with p's fields as (n, 1, 1) columns (see `_one`).  A
 # verify run passes each operand as one (1, n, dim, dim) stack, the layout
 # `_relative_residuals` reads.
 
@@ -116,18 +116,10 @@ def _identity6(a, b, c, d, p):
     return definitions.nested_sum(definitions.IDENTITY6_TERMS, (a, b, c, d), _depths(p))
 
 
-def _evaluate(fn, trials: Iterable[tuple[Sequence[DenseTensor], Phi2Params]]):
-    """fn over (operands, params) trials in batches; yields (result, operands) per trial, in order."""
-    for chunk in _batches(trials):
-        dim, arrays = _stack([ops for ops, _ in chunk], (_MAT,) * len(chunk[0][0]))
-        out = fn(*arrays, _columns([p for _, p in chunk], 2))
-        for res, (ops, _) in zip(out, chunk):
-            yield DenseTensor(_MAT, dim, res), ops
-
-
-def _one(fn, operands, p: Phi2Params) -> DenseTensor:
+def _one(fn, operands: Sequence[DenseTensor], p: Phi2Params) -> DenseTensor:
     """fn on one trial: the batch of one behind each public function."""
-    return next(_evaluate(fn, [(operands, p)]))[0]
+    dim, arrays = _stack([operands], (_MAT,) * len(operands))
+    return DenseTensor(_MAT, dim, fn(*arrays, _columns([p], 2))[0])
 
 
 def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTensor:
@@ -187,11 +179,11 @@ def _worst(evaluations: Iterable[tuple]) -> float:
     return math.inf if worst is None else worst
 
 
-def _rows(values: Sequence) -> np.ndarray:
-    """`DenseTensor`s or `GradedPair`s as one (parts, n, dim, ...) array, one value
-    per row of axis 1: a tensor is one part, a pair two (low, high)."""
-    parts = [(v,) if isinstance(v, DenseTensor) else (v.low, v.high) for v in values]
-    return np.stack([np.stack([t.data for t in column]) for column in zip(*parts)])
+def _one_row(value) -> np.ndarray:
+    """A `DenseTensor` or `GradedPair` as a batch of one in the (parts, 1, dim, ...)
+    layout of `_relative_residuals`: a tensor is one part, a pair two (low, high)."""
+    parts = (value,) if isinstance(value, DenseTensor) else (value.low, value.high)
+    return np.stack([t.data for t in parts])[:, None]
 
 
 def relative_residual(residual, operands: Sequence) -> float:
@@ -202,7 +194,7 @@ def relative_residual(residual, operands: Sequence) -> float:
     values are `DenseTensor`s or `GradedPair`s; this is a batch of one of
     the batched measure every verify row and the convention search read.
     """
-    return float(_relative_residuals(_rows([residual]), [_rows([t]) for t in operands])[0])
+    return float(_relative_residuals(_one_row(residual), [_one_row(t) for t in operands])[0])
 
 
 def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
@@ -212,4 +204,4 @@ def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
     or infinite residual makes the result `math.inf`, which no tolerance
     passes, and so does an empty stream, since no trial is no evidence.
     """
-    return _worst((_rows([residual]), [_rows([t]) for t in operands]) for residual, operands in trials)
+    return _worst((_one_row(residual), [_one_row(t) for t in operands]) for residual, operands in trials)

@@ -241,7 +241,7 @@ def _contract(diagram: ContractionDiagram, arrays: list[np.ndarray]) -> np.ndarr
     return np.einsum(*args, n + out_sub, optimize=path)
 
 
-@lru_cache(maxsize=256)  # keyed by caller-chosen shapes, so bounded
+@lru_cache(maxsize=None)
 def _einsum_path(diagram: ContractionDiagram, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     """The pairwise order `np.einsum(optimize=True)` picks for the diagram on
     arrays of these shapes, searched once instead of on every call."""
@@ -322,16 +322,11 @@ def _random_draw(rng: np.random.Generator, shape: TensorShape, dim: int) -> Dens
 
 
 def _random_member(family, seed: int) -> dict[str, complex]:
-    """A random member of a `definitions` family at the free parameters `_free_draws` draws."""
-    names, parts = _free_draws(family, seed)
+    """A random member of a `definitions` family: its free parameters are drawn in one call,
+    in order of first use, real then imaginary part of each uniform in [-1, 1]."""
+    names = dict.fromkeys(name for terms in family.values() for _, name in terms)
+    parts = np.random.default_rng(seed).uniform(-1, 1, (len(names), 2))
     return family_member(family, {name: complex(re, im) for name, (re, im) in zip(names, parts)})
-
-
-def _free_draws(family, seed: int) -> tuple[list[str], np.ndarray]:
-    """A family's free parameters in order of first use, and their (k, 2) draws from one call:
-    real then imaginary part of each uniform in [-1, 1]."""
-    names = list(dict.fromkeys(name for terms in family.values() for _, name in terms))
-    return names, np.random.default_rng(seed).uniform(-1, 1, (len(names), 2))
 
 
 def _trial_seeds(seed: int, n: int) -> list[int]:

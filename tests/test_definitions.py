@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 import tidlab.definitions
-from tidlab.cli import CHECKS, _rand_param_columns, _rand_params, _unit, main
+from tidlab.cli import CHECKS, _rand_params, _unit, main
 from tidlab.definitions import OMEGA, Phi2Params
 from tidlab.graded import TernaryWeights
 from tidlab.matrixops import closed_remainder, identity6_residual, jacobi_cyclic_residual, phi3, phi4
-from tidlab.tensors import TensorShape, _columns, random_tensor
+from tidlab.tensors import TensorShape, random_tensor
 from tidlab.words import (
     canonical_cubic_weights,
     closed_remainder_symbolic,
@@ -439,20 +439,6 @@ def test_random_members_draw_free_parameters_in_order_of_first_use():
     a, b = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
     assert TernaryWeights.random_zero_sum(7) == TernaryWeights(a, b, -a - b)
     assert _rand_params(7) == _unit(Phi2Params(a, -a, b, -b))
-
-
-@pytest.mark.parametrize(
-    "seeds",
-    [[7], list(range(400)), [1000 * seed + k for seed in range(1, 33) for k in range(5)]],
-    ids=["one", "400", "phi4-draws"],
-)
-def test_param_columns_are_the_bytes_of_each_draw(seeds):
-    # numpy's complex abs differs from Python's in the last bit, so the columns take Python's
-    want = _columns([_rand_params(s) for s in seeds], 2)
-    got = _rand_param_columns(seeds)
-    for name, column in vars(want).items():
-        assert getattr(got, name).shape == column.shape == (len(seeds), 1, 1)
-        assert getattr(got, name).tobytes() == column.tobytes(), name
 
 
 def test_both_closed_forms_sum_every_row_of_the_table(monkeypatch):

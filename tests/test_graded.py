@@ -9,8 +9,8 @@ from tidlab.graded import (
     _chain_product,
     _cyclic,
     _fold_middle,
-    _evaluate,
     _identity18,
+    _pair_stacks,
     CANONICAL_CONVENTION,
     CROSSED,
     PARALLEL,
@@ -302,17 +302,22 @@ def test_word_generators_rejects_repeats():
         word_generators(GradedWord(("A", "B", "A"), HIGH))
 
 
+def _batch(fn, trials, convention):
+    """fn on the (pairs, weights) trials stacked as one batch, as a verify row runs it: (2, n, dim, dim, dim)."""
+    _, args = _pair_stacks([pairs for pairs, _ in trials])
+    return fn(*args, _columns([w for _, w in trials], 3), convention)
+
+
 def test_identity18_residual_is_a_slice_of_the_batch():
     conv = ChainConvention(high_l2r=CROSSED, low_r2l=CROSSED)
     trials = [
         ([random_graded_pair(3, 10 * seed + i) for i in range(5)], TernaryWeights.random_zero_sum(seed))
         for seed in range(40)
     ]
-    for (res, pairs), (ops, w) in zip(_evaluate(_identity18, trials, conv), trials):
-        assert pairs is ops
+    for (low, high), (ops, w) in zip(zip(*_batch(_identity18, trials, conv)), trials, strict=True):
         one = identity18_residual(*ops, w, conv)
-        assert res.low.data.tobytes() == one.low.data.tobytes()
-        assert res.high.data.tobytes() == one.high.data.tobytes()
+        assert low.tobytes() == one.low.data.tobytes()
+        assert high.tobytes() == one.high.data.tobytes()
 
 
 # the dict-based batch path that the term-table reader replaced, kept to pin
@@ -366,9 +371,10 @@ def _dict_evaluate(fn, trials, convention):
 @pytest.mark.parametrize("fn, written, arity", [(_cyclic, _dict_cyclic, 3), (_identity18, _dict_identity18, 5)],
                          ids=["cyclic16", "identity18"])
 def test_ternary_tables_sum_in_the_written_order(fn, written, arity, weights, conv):
-    # 40 trials run as more than one batch; equal bytes pin the summation order without freezing digits
+    # 40 trials: one stack here, two batches in the written reading; equal bytes pin the summation
+    # order without freezing digits
     draw = {"canonical": lambda seed: TernaryWeights.canonical(), "random_zero_sum": TernaryWeights.random_zero_sum}
     trials = [([random_graded_pair(3, 10 * seed + i) for i in range(arity)], draw[weights](seed)) for seed in range(40)]
-    for (res, _), (low, high) in zip(_evaluate(fn, trials, conv), _dict_evaluate(written, trials, conv), strict=True):
-        assert res.low.data.tobytes() == low.tobytes()
-        assert res.high.data.tobytes() == high.tobytes()
+    for (low, high), want in zip(zip(*_batch(fn, trials, conv)), _dict_evaluate(written, trials, conv), strict=True):
+        assert low.tobytes() == want[0].tobytes()
+        assert high.tobytes() == want[1].tobytes()

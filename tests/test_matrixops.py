@@ -7,7 +7,6 @@ from tidlab import definitions
 from tidlab.matrixops import (
     Phi2Params,
     _alternating,
-    _evaluate,
     _identity6,
     _jacobi,
     _phi2,
@@ -20,9 +19,15 @@ from tidlab.matrixops import (
     relative_residual,
     worst_residual,
 )
-from tidlab.tensors import DenseTensor, TensorShape, kronecker_delta, random_tensor
+from tidlab.tensors import DenseTensor, TensorShape, _columns, _stack, kronecker_delta, random_tensor
 
 MAT = TensorShape(1, 1)
+
+
+def _batch(fn, trials):
+    """fn on the (operands, params) trials stacked as one batch, as a verify row runs it: one row per trial."""
+    _, arrays = _stack([ops for ops, _ in trials], (MAT,) * len(trials[0][0]))
+    return fn(*arrays, _columns([p for _, p in trials], 2))
 
 A = DenseTensor.from_matrix([[1, 2], [3, 4]])
 B = DenseTensor.from_matrix([[0, 1], [1, 0]])
@@ -180,9 +185,8 @@ def test_relative_residual_scale_invariance():
 
 def test_phi4_is_a_slice_of_the_batch():
     trials = [(rand_mats(3, seed, 4), rand_constrained(seed)) for seed in range(40)]
-    for (res, mats), (ops, p) in zip(_evaluate(_alternating, trials), trials):
-        assert mats is ops
-        assert res.data.tobytes() == phi4(*ops, p).data.tobytes()
+    for row, (ops, p) in zip(_batch(_alternating, trials), trials, strict=True):
+        assert row.tobytes() == phi4(*ops, p).data.tobytes()
 
 
 # each table fold written out by hand from _phi2, in the order of the printed sums
@@ -222,8 +226,8 @@ def test_table_folds_sum_in_the_written_order(fold, written, arity):
     rng = np.random.default_rng(arity)
     trials = [(rand_mats(3, seed, arity), Phi2Params(*rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)))
               for seed in range(40)]
-    for (res, _), (want, _) in zip(_evaluate(fold, trials), _evaluate(written, trials), strict=True):
-        assert res.data.tobytes() == want.data.tobytes()
+    for row, want in zip(_batch(fold, trials), _batch(written, trials), strict=True):
+        assert row.tobytes() == want.tobytes()
 
 
 def test_worst_residual_of_no_trials_fails_closed():

@@ -11,7 +11,7 @@ from tidlab.diagrams import LOWER, UPPER, ContractionDiagram, EnumOptions, SlotR
 from tidlab.graded import (
     _CHAINS, _WORD_PARTS, TernaryWeights, _chain_product, _fold_middle, random_graded_pair, three_commutator
 )
-from tidlab.matrixops import _PHI2_DIAGRAMS, _evaluate, _jacobi, Phi2Params, phi2
+from tidlab.matrixops import _PHI2_DIAGRAMS, Phi2Params, jacobi_cyclic_residual, phi2
 from tidlab.tensors import (
     DenseTensor,
     TensorShape,
@@ -454,6 +454,6 @@ def test_results_own_their_entries():
     results = [apply_diagram(d, [a, b]) for d in _PHI2_DIAGRAMS]
     results += [phi2(a, b, Phi2Params.traced_commutator()), bracket.low, bracket.high, a + b]
     trials = [([a, b, random_tensor(MAT, 3, seed)], Phi2Params()) for seed in range(3)]
-    results += [res for res, _ in _evaluate(_jacobi, trials)]
+    results += [jacobi_cyclic_residual(*ops, p) for ops, p in trials]
     for r in results:
         assert r.data.base is None
