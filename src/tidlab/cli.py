@@ -3,8 +3,10 @@
 All randomness is seed-driven and every JSON report is byte-identical for an
 identical configuration (elapsed times appear only in text output).  Exit
 status: 0 all checks pass, 1 any check fails, 2 the command could not run:
-bad input, a file it cannot read or write, or closed output.  It prints one
-`error:` line and never a traceback.
+bad input, an input too large to index or to hold, a file it cannot read or
+write, or closed output.  It prints one `error:` line and never a traceback.
+The numeric rows read their operands from `graded._Batch`, the seed batch
+`convention-search` reads too.
 """
 
 from __future__ import annotations
@@ -149,44 +151,6 @@ def _rand_params(seed: int) -> Phi2Params:
     from .tensors import _random_member
 
     return _unit(Phi2Params(**_random_member(definitions.PRODUCT_FAMILY, seed)))
-
-
-class _Batch:
-    """One batch of seeds and their operands, each position stacked on its first read.
-
-    Operand i of a seed is drawn with seed 10·seed + i (`_trial_seeds`) through
-    `random_tensor` or `random_graded_pair`.  Position i of the batch is one
-    (parts, n, dim, ...) array with one seed per row, the layout of
-    `matrixops._relative_residuals`: a matrix is one part (`tensors._stack`),
-    a graded pair two (`graded._pair_stacks`).  Every numeric row of a run
-    reads these stacks, and a row that needs fewer operands reads their prefix.
-    """
-
-    def __init__(self, dim: int, seeds: list[int]):
-        self.dim, self.seeds, self._stacks = dim, seeds, {}
-
-    def mats(self, n: int) -> list:
-        from .matrixops import _MAT
-        from .tensors import _stack, random_tensor
-
-        # one part: the (1, n, dim, dim) stack
-        stack = lambda seeds: _stack([[random_tensor(_MAT, self.dim, s)] for s in seeds], (_MAT,))[1][0][None]
-        return self._read("mats", n, stack)
-
-    def pairs(self, n: int) -> list:
-        from .graded import _pair_stacks, random_graded_pair
-
-        stack = lambda seeds: _pair_stacks([[random_graded_pair(self.dim, s)] for s in seeds])[1][0]
-        return self._read("pairs", n, stack)
-
-    def _read(self, kind: str, n: int, stack: Callable) -> list:
-        """The first n positions; `stack` draws one position of the batch's seeds as one array."""
-        from .tensors import _trial_seeds
-
-        for i, column in enumerate(zip(*(_trial_seeds(seed, n) for seed in self.seeds))):
-            if (kind, i) not in self._stacks:
-                self._stacks[kind, i] = stack(column)
-        return [self._stacks[kind, i] for i in range(n)]
 
 
 def _jacobi_numeric(cfg: RunConfig, batch: _Batch) -> Iterator[tuple]:
@@ -345,15 +309,16 @@ class Check:
 def _run_checks(checks: list[Check], cfg: RunConfig) -> list[CheckReport]:
     """Each check's report, in order.
 
-    The numeric rows run together over batches of at most `_BATCH` seeds.  A
-    batch's operands are drawn once and shared by every row, and the batch is
-    dropped before the next is drawn, so memory stays bounded at any seed
-    count.  A row's residual is the worst over its batches, each batch's
-    trials measured together.
+    The numeric rows run together over `graded._Batch`es of at most `_BATCH`
+    seeds, as `convention_search` does.  A batch's operands are drawn once
+    and shared by every row, and the batch is dropped before the next is
+    drawn, so memory stays bounded at any seed count.  A row's residual is
+    the worst over its batches, each batch's trials measured together.
     """
     outcome, elapsed = {}, dict.fromkeys(checks, 0.0)
     numeric = [c for c in checks if c.kind == "numeric"]
     if numeric:
+        from .graded import _Batch
         from .matrixops import _worst
         from .tensors import _batches
 
@@ -699,8 +664,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
         return code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:  # the last two: an input too large to index or hold
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:  # what is left would fail at exit
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())

@@ -18,6 +18,9 @@ doubled chain edge is not determined by the chain's diagram class; that
 choice is the ChainConvention.  `convention_search` measures every pairing
 choice against the cyclic identity and the twenty-term identity and reports
 the survivors; the canonical convention pairs slots in parallel everywhere.
+
+`_Batch` is the one seed batch: every numeric row of a verify run and every
+convention of the search read its stacks, one batch at a time.
 """
 
 from __future__ import annotations
@@ -27,13 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import definitions
+from . import definitions, tensors
 from .definitions import CANONICAL_CONVENTION, CROSSED, HIGH, LOW, OMEGA, PARALLEL, ChainConvention
 from .diagrams import ContractionDiagram, TensorShape
-from .matrixops import _worst, relative_residual
-from .tensors import (
-    DenseTensor, _batches, _columns, _random_draw, _random_member, _stack, _trial_seeds
-)
+from .matrixops import _MAT, _worst, relative_residual
+from .tensors import DenseTensor, _batches, _columns, _random_draw, _random_member, _stack, _trial_seeds
 
 __all__ = [
     "GradedPair",
@@ -283,24 +284,42 @@ def _identity18(a, b, c, d, e, weights, convention):
     return definitions.nested_sum(definitions.IDENTITY18_TERMS, (a, b, c, d, e), _depths(weights, convention), 3)
 
 
-def _pair_stacks(trials) -> tuple[int, list[np.ndarray]]:
-    """The pairs of a batch of trials as one (2, n, dim, dim, dim) array per position, and their dimension.
-
-    `_stack` checks that every pair has one dimension."""
-    parts = [[c for x in pairs for c in (x.low, x.high)] for pairs in trials]
-    dim, arrays = _stack(parts, (_LOW_SHAPE, _HIGH_SHAPE) * len(trials[0]))
-    return dim, [np.stack(pair) for pair in zip(arrays[::2], arrays[1::2])]
-
-
 def _one(fn, pairs, weights: TernaryWeights, convention: ChainConvention) -> GradedPair:
     """fn on one trial: the batch of one behind each public function."""
-    dim, args = _pair_stacks([pairs])
+    dim, args = _stack([pairs])
     low, high = fn(*args, _columns([weights], 3), convention)[:, 0]
     return GradedPair(DenseTensor(_LOW_SHAPE, dim, low), DenseTensor(_HIGH_SHAPE, dim, high))
 
 
 # DenseTensor and GradedPair share the norm-based measure
 graded_relative_residual = relative_residual
+
+
+class _Batch:
+    """At most `_BATCH` seeds and their operands, each position stacked on its first read.
+
+    Operand i of a seed is drawn with seed 10·seed + i (`_trial_seeds`) through
+    `tensors.random_tensor` or `random_graded_pair`, looked up on their modules
+    at each draw, and position i is one `tensors._stack` array, one seed per
+    row; a reader that needs fewer operands reads their prefix.  Only the
+    batch holds its stacks, so dropping it before the next frees them.
+    """
+
+    def __init__(self, dim: int, seeds: list[int]):
+        self.dim, self.seeds, self._stacks = dim, seeds, {}
+
+    def mats(self, n: int) -> list[np.ndarray]:
+        return self._read("mats", n, lambda seed: tensors.random_tensor(_MAT, self.dim, seed))
+
+    def pairs(self, n: int) -> list[np.ndarray]:
+        return self._read("pairs", n, lambda seed: random_graded_pair(self.dim, seed))
+
+    def _read(self, kind: str, n: int, draw) -> list[np.ndarray]:
+        """The first n positions; `draw` makes one operand from its seed."""
+        for i, column in enumerate(zip(*(_trial_seeds(seed, n) for seed in self.seeds))):
+            if (kind, i) not in self._stacks:
+                self._stacks[kind, i] = _stack([[draw(seed)] for seed in column])[1][0]
+        return [self._stacks[kind, i] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -336,18 +355,14 @@ def convention_search(
     if dim < 2:
         raise ValueError(f"convention search needs dim >= 2, got {dim}; at dim 1 every convention is the same")
     weights = TernaryWeights.canonical()
-    # each seed batch's five pair positions, stacked once and read by every convention
-    batches = []
+    conventions = ChainConvention.all_conventions()
+    cyclic, ternary = {}, {}
+    # every convention reads one seed batch; only the batch holds its stacks, so it is freed before the next draws
     for chunk in _batches(seeds):
-        _, pairs = _pair_stacks([[random_graded_pair(dim, s) for s in _trial_seeds(seed, 5)] for seed in chunk])
-        batches.append((pairs, _columns([weights] * len(chunk), 3)))
-    trials = []
-    survivors = []
-    for conv in ChainConvention.all_conventions():
-        c_max = _worst((_cyclic(*pairs[:3], w, conv), pairs[:3]) for pairs, w in batches)
-        i_max = _worst((_identity18(*pairs, w, conv), pairs) for pairs, w in batches)
-        trial = ConventionTrial(conv, c_max, i_max)
-        trials.append(trial)
-        if trial.passes(tolerance):
-            survivors.append(conv)
-    return trials, survivors
+        batch, w = _Batch(dim, chunk), _columns([weights] * len(chunk), 3)
+        for conv in conventions:
+            for worst, fn, n in ((cyclic, _cyclic, 3), (ternary, _identity18, 5)):
+                worst[conv] = max(worst.get(conv, 0.0), _worst([(fn(*batch.pairs(n), w, conv), batch.pairs(n))]))
+    # no seed is no evidence: an empty grid reads inf
+    trials = [ConventionTrial(conv, cyclic.get(conv, math.inf), ternary.get(conv, math.inf)) for conv in conventions]
+    return trials, [t.convention for t in trials if t.passes(tolerance)]

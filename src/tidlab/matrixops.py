@@ -83,9 +83,8 @@ def identity6_residual(
 
 
 # The implementations run on (..., n, dim, dim) arrays, one trial per row of
-# the trial axis n, with p's fields as (n, 1, 1) columns (see `_one`).  A
-# verify run passes each operand as one (1, n, dim, dim) stack, the layout
-# `_relative_residuals` reads.
+# the trial axis n, with p's fields as (n, 1, 1) columns.  Each operand is one
+# (1, n, dim, dim) `tensors._stack`, the layout `_relative_residuals` reads.
 
 
 def _phi2(a, b, p):
@@ -119,7 +118,7 @@ def _identity6(a, b, c, d, p):
 def _one(fn, operands: Sequence[DenseTensor], p: Phi2Params) -> DenseTensor:
     """fn on one trial: the batch of one behind each public function."""
     dim, arrays = _stack([operands], (_MAT,) * len(operands))
-    return DenseTensor(_MAT, dim, fn(*arrays, _columns([p], 2))[0])
+    return DenseTensor(_MAT, dim, fn(*arrays, _columns([p], 2))[0, 0])
 
 
 def closed_remainder(a: DenseTensor, b: DenseTensor, c: DenseTensor) -> DenseTensor:
@@ -179,11 +178,11 @@ def _worst(evaluations: Iterable[tuple]) -> float:
     return math.inf if worst is None else worst
 
 
-def _one_row(value) -> np.ndarray:
-    """A `DenseTensor` or `GradedPair` as a batch of one in the (parts, 1, dim, ...)
-    layout of `_relative_residuals`: a tensor is one part, a pair two (low, high)."""
-    parts = (value,) if isinstance(value, DenseTensor) else (value.low, value.high)
-    return np.stack([t.data for t in parts])[:, None]
+def _one_trial(residual, operands: Sequence) -> tuple:
+    """One (residual, operands) trial of `DenseTensor`s or `GradedPair`s as a
+    batch of one of `_relative_residuals`, each value stacked on its own."""
+    row = lambda value: _stack([[value]])[1][0]
+    return row(residual), [row(t) for t in operands]
 
 
 def relative_residual(residual, operands: Sequence) -> float:
@@ -194,7 +193,7 @@ def relative_residual(residual, operands: Sequence) -> float:
     values are `DenseTensor`s or `GradedPair`s; this is a batch of one of
     the batched measure every verify row and the convention search read.
     """
-    return float(_relative_residuals(_one_row(residual), [_one_row(t) for t in operands])[0])
+    return float(_relative_residuals(*_one_trial(residual, operands))[0])
 
 
 def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
@@ -204,4 +203,4 @@ def worst_residual(trials: Iterable[tuple[object, Sequence]]) -> float:
     or infinite residual makes the result `math.inf`, which no tolerance
     passes, and so does an empty stream, since no trial is no evidence.
     """
-    return _worst((_one_row(residual), [_one_row(t) for t in operands]) for residual, operands in trials)
+    return _worst(_one_trial(residual, operands) for residual, operands in trials)

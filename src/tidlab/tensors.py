@@ -5,8 +5,8 @@ same dimension n.  Entries are stored as an ndarray of shape (n,)*(p+q) with
 the upper axes first; the flat lexicographic order of that array is the
 serialization order.  All values are immutable after construction.
 
-The numeric checks run on raw arrays with one extra leading batch axis, one
-trial per row; each public function on tensors is a batch of one.  Every
+The numeric checks run on raw arrays with a batch axis, one trial per row,
+laid out by `_stack`; each public function on tensors is a batch of one.  Every
 diagram is one einsum; the ternary bracket's chains run as two batched matmuls
 in `graded`.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -262,28 +262,32 @@ def apply_diagram(
     over the labels `_einsum_plan` compiles once per diagram.
     """
     dim, arrays = _stack([operands], diagram.operand_shapes)
-    return DenseTensor(diagram.output_shape, dim, _contract(diagram, arrays)[0])
+    return DenseTensor(diagram.output_shape, dim, _contract(diagram, [a[0] for a in arrays])[0])
 
 
 def _stack(
-    trials: Sequence[Sequence[DenseTensor]], shapes: tuple[TensorShape, ...]
+    trials: Sequence[Sequence], shapes: Optional[tuple[TensorShape, ...]] = None
 ) -> tuple[int, list[np.ndarray]]:
-    """The operands of a batch of trials as one (n, dim, ...) array per position.
+    """The values of a batch of trials as one (parts, n, dim, ...) array per position, one trial per row.
 
-    Each trial's operands must have `shapes`, and all of them one dimension,
-    which is returned with the arrays.
+    This is the layout `matrixops._relative_residuals` reads: a `DenseTensor`
+    is one part, a `graded.GradedPair` two (low, high).  All values must have
+    one dimension, which is returned with the arrays; with `shapes`, each
+    trial's tensors must have those shapes.
     """
-    for operands in trials:
-        got = tuple(t.shape for t in operands)
-        if got != shapes:
+    parts = [[(v,) if isinstance(v, DenseTensor) else (v.low, v.high) for v in values] for values in trials]
+    for values in parts:
+        got = tuple(t.shape for value in values for t in value)
+        if shapes is not None and got != shapes:
             raise ValueError(
                 f"operand shapes {tuple(map(str, got))} do not match "
                 f"{tuple(map(str, shapes))}"
             )
-    dims = {t.dim for operands in trials for t in operands}
+    dims = {t.dim for values in parts for value in values for t in value}
     if len(dims) != 1:
         raise ValueError(f"operands have mixed dimensions: {sorted(dims)}")
-    return dims.pop(), [np.stack([ops[k].data for ops in trials]) for k in range(len(shapes))]
+    # one position of every trial, then one part of it
+    return dims.pop(), [np.stack([np.stack([t.data for t in part]) for part in zip(*column)]) for column in zip(*parts)]
 
 
 def _columns(coefficients: Sequence, order: int):

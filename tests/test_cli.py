@@ -695,6 +695,30 @@ def test_closed_stdout_one_error_line(capsys, monkeypatch, argv):
     assert (code, capsys.readouterr().err) == (2, f"error: [Errno {errno.EPIPE}] Broken pipe\n")
 
 
+@pytest.mark.parametrize("command", [["verify", "jacobi"], ["convention-search"]], ids=lambda c: c[0])
+def test_overflowing_seed_range_one_error_line(capsys, command):
+    # a range past the index width fails in `len` before anything is drawn or held
+    code, out, err = run(capsys, [*command, "--seeds", "1..100000000000000000000", "--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [(["verify", "jacobi"], tidlab.tensors, "random_tensor"),
+     (["convention-search"], tidlab.graded, "random_graded_pair")],
+    ids=["verify", "convention-search"],
+)
+def test_unallocatable_input_one_error_line(capsys, monkeypatch, argv, module, name):
+    # what a draw too large to hold raises; raised here without allocating anything
+    def draw(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, draw)
+    code, out, err = run(capsys, [*argv, "--seeds", "1", "--json"])
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_closed_stdout_pipe_in_a_fresh_interpreter(unbuffered):
     # buffered output meets the closed pipe in main's flush, not in the flush at exit
@@ -776,7 +800,7 @@ def test_stacked_depths_equal_the_termwise_reading(monkeypatch, name, seeds, tri
 
     def body():
         # the seed batches of a run, and each trial's row of every evaluation a body yields
-        batches = (tidlab.cli._Batch(cfg.dim, chunk) for chunk in _batches(cfg.seeds))
+        batches = (tidlab.graded._Batch(cfg.dim, chunk) for chunk in _batches(cfg.seeds))
         return [r[:, i].tobytes() for b in batches for r, _ in check.body(cfg, b) for i in range(r.shape[1])]
 
     stacked = body()
@@ -838,7 +862,7 @@ def test_a_run_draws_each_operand_once(monkeypatch, capsys):
 def test_a_long_run_holds_one_seed_batch(monkeypatch, capsys):
     batches = []
 
-    class Tracked(tidlab.cli._Batch):
+    class Tracked(tidlab.graded._Batch):
         def __init__(self, *args):
             super().__init__(*args)
             batches.append(weakref.ref(self))
@@ -848,10 +872,38 @@ def test_a_long_run_holds_one_seed_batch(monkeypatch, capsys):
     draw = tidlab.tensors.random_tensor
     monkeypatch.setattr(tidlab.tensors, "random_tensor",
                         lambda *args: held.append(sum(b() is not None for b in batches)) or draw(*args))
-    monkeypatch.setattr(tidlab.cli, "_Batch", Tracked)
+    monkeypatch.setattr(tidlab.graded, "_Batch", Tracked)
     assert main(["verify", "all", "--mode", "numeric", "--dim", "2", "--seeds", "1..70", "--json"]) == 0
     capsys.readouterr()
     assert sorted(drawn["mats"]) == [10 * seed + i for seed in range(1, 71) for i in range(4)]
+    assert sorted(drawn["pairs"]) == [10 * seed + i for seed in range(1, 71) for i in range(5)]
+    assert len(batches) == 3 and max(held) == 1
+
+
+def test_convention_search_holds_one_seed_batch(monkeypatch):
+    # 70 seeds: three seed batches; a batch's stacks must be gone before the next batch draws
+    batches = []
+
+    class Tracked(tidlab.graded._Batch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.stacks = []
+            batches.append((weakref.ref(self), self.stacks))
+
+        def _read(self, *args):
+            stacks = super()._read(*args)
+            self.stacks += map(weakref.ref, stacks)
+            return stacks
+
+    held = []
+    drawn = _count_draws(monkeypatch)
+    draw = tidlab.graded.random_graded_pair
+    alive = lambda batch, stacks: batch() is not None or any(s() is not None for s in stacks)
+    monkeypatch.setattr(tidlab.graded, "random_graded_pair",
+                        lambda *args: held.append(sum(alive(*b) for b in batches)) or draw(*args))
+    monkeypatch.setattr(tidlab.graded, "_Batch", Tracked)
+    trials, survivors = convention_search(dim=2, seeds=tuple(range(1, 71)))
+    assert len(trials) == 16 and len(survivors) == 6
     assert sorted(drawn["pairs"]) == [10 * seed + i for seed in range(1, 71) for i in range(5)]
     assert len(batches) == 3 and max(held) == 1
 
@@ -1007,3 +1059,19 @@ def test_float_reports_are_indent_2_json(tmp_path, capsys):
     texts.append(path.read_text(encoding="utf-8"))
     for text in texts:
         assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
+
+# sha256 (first 16 hex digits) of `tidlab ARGS` stdout for runs of two seed batches (40 seeds, `_BATCH` 32):
+# the rows and the convention search read every batch, and each report is the worst over both.  The
+# residuals' last digits follow numpy's matmul, so these were taken on x86-64 with numpy 2.4.
+MULTI_BATCH_DIGESTS = {
+    ("convention-search", "--dim", "3", "--seeds", "1..40", "--json"): "113144add8ba774e",
+    ("verify", "all", "--dim", "2", "--seeds", "1..40", "--json"): "4660cdab280b21c6",
+}
+
+
+@pytest.mark.parametrize("argv, digest", MULTI_BATCH_DIGESTS.items(), ids=[" ".join(a) for a in MULTI_BATCH_DIGESTS])
+def test_multi_batch_report_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest

@@ -10,7 +10,6 @@ from tidlab.graded import (
     _cyclic,
     _fold_middle,
     _identity18,
-    _pair_stacks,
     CANONICAL_CONVENTION,
     CROSSED,
     PARALLEL,
@@ -304,7 +303,7 @@ def test_word_generators_rejects_repeats():
 
 def _batch(fn, trials, convention):
     """fn on the (pairs, weights) trials stacked as one batch, as a verify row runs it: (2, n, dim, dim, dim)."""
-    _, args = _pair_stacks([pairs for pairs, _ in trials])
+    _, args = _stack([pairs for pairs, _ in trials])
     return fn(*args, _columns([w for _, w in trials], 3), convention)
 
 
@@ -359,9 +358,8 @@ def _dict_identity18(a, b, c, d, e, weights, convention):
 
 def _dict_evaluate(fn, trials, convention):
     for chunk in _batches(trials):
-        parts = [[c for x in pairs for c in (x.low, x.high)] for pairs, _ in chunk]
-        _, arrays = _stack(parts, (TensorShape(1, 2), TensorShape(2, 1)) * len(chunk[0][0]))
-        args = [{LOW: low, HIGH: high} for low, high in zip(arrays[::2], arrays[1::2])]
+        _, arrays = _stack([pairs for pairs, _ in chunk])
+        args = [{LOW: low, HIGH: high} for low, high in arrays]
         out = fn(*args, _columns([w for _, w in chunk], 3), convention)
         yield from zip(out[LOW], out[HIGH])
 

@@ -27,7 +27,7 @@ MAT = TensorShape(1, 1)
 def _batch(fn, trials):
     """fn on the (operands, params) trials stacked as one batch, as a verify row runs it: one row per trial."""
     _, arrays = _stack([ops for ops, _ in trials], (MAT,) * len(trials[0][0]))
-    return fn(*arrays, _columns([p for _, p in trials], 2))
+    return fn(*arrays, _columns([p for _, p in trials], 2))[0]
 
 A = DenseTensor.from_matrix([[1, 2], [3, 4]])
 B = DenseTensor.from_matrix([[0, 1], [1, 0]])
